@@ -707,31 +707,27 @@ impl PartitionBuffer {
             .sum()
     }
 
-    /// Materialize every partition into one frame. The partitions and
-    /// the assembled result genuinely coexist while concatenating, so
-    /// both are charged — materializing a frame the budget cannot hold
-    /// twice over still fails, spill or no spill (the paper's "convert
-    /// to pandas" OOM). The partitions' bytes are released at the end;
-    /// the reservation then covers exactly the result.
+    /// Materialize every partition into one frame with a single n-way
+    /// assembly. The partitions and the assembled result genuinely
+    /// coexist, so both are charged — materializing a frame the budget
+    /// cannot hold twice over still fails, spill or no spill (the
+    /// paper's "convert to pandas" OOM). The partitions' bytes are
+    /// released only after the result is charged; the reservation then
+    /// covers exactly the result.
     fn concat_all(&mut self) -> Result<DataFrame> {
-        let mut acc: Option<DataFrame> = None;
-        let mut parts_bytes = 0usize;
-        let mut acc_charged = 0usize;
+        let mut parts = Vec::with_capacity(self.parts.len());
         while let Some(p) = self.pop_front()? {
-            parts_bytes += p.heap_size();
-            let next = match acc.take() {
-                Some(prev) => prev.concat(&p)?,
-                None => p.clone(),
-            };
-            let sz = next.heap_size();
-            if sz > acc_charged {
-                self.reservation.grow(sz - acc_charged)?;
-                acc_charged = sz;
-            }
-            acc = Some(next);
+            parts.push(p);
         }
+        if parts.is_empty() {
+            return Ok(DataFrame::empty());
+        }
+        let parts_bytes: usize = parts.iter().map(HeapSize::heap_size).sum();
+        let result = DataFrame::concat_many(&parts)?;
+        self.reservation.grow(result.heap_size())?;
+        drop(parts);
         self.reservation.shrink(parts_bytes);
-        Ok(acc.unwrap_or_else(DataFrame::empty))
+        Ok(result)
     }
 }
 
@@ -1643,8 +1639,8 @@ impl BatchRun {
                     if slot == 1 {
                         build.push(part.clone())
                     } else if *build_done {
-                        let right = built.clone().expect("built after build_done");
-                        let out = join_merge(part, &right, on, *how)?;
+                        let right = built.as_ref().expect("built after build_done");
+                        let out = join_merge(part, right, on, *how)?;
                         let _t = engine.tracker.charge(out.heap_size())?;
                         self.emit(engine, id, &out)
                     } else {
@@ -1756,7 +1752,7 @@ impl BatchRun {
                             pending_probes,
                             PartitionBuffer::new(&engine.tracker, &engine.spill_dir, &self.cancel),
                         );
-                        let right = built.clone().expect("just built");
+                        let right = built.as_ref().expect("just built");
                         // The backlog of buffered probe partitions is
                         // embarrassingly parallel: join against the
                         // shared build side on the pool in waves of one
@@ -1781,7 +1777,7 @@ impl BatchRun {
                             let in_bytes: usize =
                                 batch.iter().map(HeapSize::heap_size).sum();
                             let outs: Vec<DataFrame> = pool
-                                .map(batch, |_, probe| join_merge(&probe, &right, &on, how))
+                                .map(batch, |_, probe| join_merge(&probe, right, &on, how))
                                 .into_iter()
                                 .collect::<Result<Vec<_>>>()?;
                             let wave_bytes: usize =
@@ -2001,20 +1997,16 @@ impl BatchRun {
             }
             let mut offsets = vec![0usize; nruns];
             let mut off = 0usize;
-            let mut combined: Option<DataFrame> = None;
+            let mut subs: Vec<DataFrame> = Vec::new();
             for r in 0..nruns {
                 if per_run[r].is_empty() {
                     continue;
                 }
                 offsets[r] = off;
                 off += per_run[r].len();
-                let sub = frames[r].as_ref().expect("active run").take(&per_run[r])?;
-                combined = Some(match combined.take() {
-                    Some(c) => c.concat(&sub)?,
-                    None => sub,
-                });
+                subs.push(frames[r].as_ref().expect("active run").take(&per_run[r])?);
             }
-            let combined = combined.expect("round popped at least one row");
+            let combined = assemble(subs)?;
             let mut cursor = offsets;
             let mut perm = Vec::with_capacity(pops.len());
             for &(r, _) in &pops {
@@ -2082,6 +2074,15 @@ impl BatchRun {
     }
 }
 
+/// Stack owned partitions with one n-way concat; a lone partition moves
+/// through without a copy.
+fn assemble(mut parts: Vec<DataFrame>) -> Result<DataFrame> {
+    match parts.len() {
+        1 => Ok(parts.pop().expect("one part")),
+        _ => DataFrame::concat_many(&parts),
+    }
+}
+
 /// Concatenate and sort the accumulated partitions of one external-sort
 /// run, writing the result to a fresh spill file in frames no larger
 /// than the engine chunk size or `frame_cap` bytes (whichever is
@@ -2092,14 +2093,7 @@ fn write_sorted_run(
     options: &SortOptions,
     frame_cap: usize,
 ) -> Result<SpillFile> {
-    let mut frame: Option<DataFrame> = None;
-    for p in acc.drain(..) {
-        frame = Some(match frame.take() {
-            Some(f) => f.concat(&p)?,
-            None => p,
-        });
-    }
-    let frame = frame.unwrap_or_else(DataFrame::empty);
+    let frame = assemble(std::mem::take(acc))?;
     let sorted = sort_values_par(&frame, options, &engine.pool)?;
     drop(frame);
     let rows = sorted.num_rows();

@@ -118,12 +118,7 @@ impl EagerEngine {
         // `WorkerPanic` instead of aborting) and honours the pool's
         // cancellation token between claims.
         let results = self.pool.try_map(parts, |_, p| f(&p))?;
-        let mut it = results.into_iter();
-        let mut acc = it.next().expect("at least one partition");
-        for r in it {
-            acc = acc.concat(&r)?;
-        }
-        Ok(acc)
+        DataFrame::concat_many(&results)
     }
 
     // -- operators --------------------------------------------------------

@@ -162,6 +162,19 @@ fn run_kernel_bench(args: &[String]) {
             r.name, r.decoded_ms, r.encoded_ms, r.speedup
         );
     }
+    eprintln!("partition assembly: n-way concat vs pairwise fold ...");
+    let concat = kernel_bench::run_concat_suite(rows, iters);
+    println!();
+    println!(
+        "{:<28} {:>12} {:>14} {:>9}",
+        "concat kernel", "pairwise_ms", "nway_ms", "speedup"
+    );
+    for r in &concat {
+        println!(
+            "{:<28} {:>12.3} {:>14.3} {:>8.2}x",
+            r.name, r.pairwise_ms, r.nway_ms, r.speedup
+        );
+    }
     if let Some(path) = json {
         let body = kernel_bench::render_json(
             pr,
@@ -174,6 +187,7 @@ fn run_kernel_bench(args: &[String]) {
                 pipeline: &pipeline,
                 fusion: &fusion,
                 encoding: &encoding,
+                concat: &concat,
             },
         );
         std::fs::write(&path, body).expect("write bench json");

@@ -125,6 +125,23 @@ pub struct EncodingBenchResult {
     pub speedup: f64,
 }
 
+/// One partition-assembly bench row: stacking partitions with one n-way
+/// `Column::concat_many` vs the pairwise left fold of two-input `concat`
+/// that partition assembly used before.
+#[derive(Debug, Clone)]
+pub struct ConcatBenchResult {
+    /// Column kind being assembled.
+    pub name: String,
+    /// Best-of-N wall time of the pairwise fold, in milliseconds.
+    pub pairwise_ms: f64,
+    /// Best-of-N wall time of the single n-way concat, in milliseconds.
+    pub nway_ms: f64,
+    /// Number of partitions stacked.
+    pub parts: usize,
+    /// `pairwise_ms / nway_ms`.
+    pub speedup: f64,
+}
+
 /// Best-of-N paired timing: each iteration times the seed reference and
 /// the vectorized kernel back to back, so both sides see the same
 /// allocator and cache state as the process evolves — a seed-first block
@@ -1312,6 +1329,92 @@ pub fn run_encoding_suite(rows: usize, iters: usize) -> Vec<EncodingBenchResult>
     results
 }
 
+// ---------------------------------------------------------------------------
+// Partition-assembly benches (n-way concat vs pairwise fold)
+// ---------------------------------------------------------------------------
+
+/// Race one n-way [`Column::concat_many`] against the pairwise left fold
+/// of [`Column::concat`] over `rows` rows split into 8192-row parts (the
+/// Dask engine's default partition size), for an i64 column with nulls,
+/// a mixed-width string column, per-part `Dict` columns (distinct
+/// dictionaries, as the chunked CSV scan produces) and a `Categorical`
+/// column. Each pair is checked for equality (structural for the
+/// encoded kinds) before timing.
+pub fn run_concat_suite(rows: usize, iters: usize) -> Vec<ConcatBenchResult> {
+    use lafp_columnar::encoding::dict_encode;
+
+    const PART_ROWS: usize = 8192;
+    let split = |col: &Column| -> Vec<Column> {
+        (0..rows.div_ceil(PART_ROWS))
+            .map(|k| col.slice(k * PART_ROWS, PART_ROWS))
+            .collect()
+    };
+    let merchants =
+        Column::from_strings((0..rows).map(|i| format!("merchant-{:02}-of-the-fleet", i % 32)));
+    let cases: Vec<(&str, Vec<Column>)> = vec![
+        (
+            "concat_i64",
+            split(&Column::from_opt_i64(
+                (0..rows)
+                    .map(|i| (i % 97 != 0).then_some(i as i64))
+                    .collect(),
+            )),
+        ),
+        (
+            "concat_utf8",
+            split(&Column::from_strings(
+                (0..rows).map(|i| format!("city-{:04}", i % 997)),
+            )),
+        ),
+        (
+            "concat_dict",
+            split(&merchants)
+                .iter()
+                .map(|p| dict_encode(p).expect("32 entries fit the cap"))
+                .collect(),
+        ),
+        (
+            "concat_categorical",
+            split(&merchants.to_categorical().unwrap()),
+        ),
+    ];
+    let fold = |parts: &[Column]| -> Column {
+        parts[1..]
+            .iter()
+            .fold(parts[0].clone(), |acc, p| acc.concat(p).unwrap())
+    };
+    let mut results = Vec::new();
+    for (name, parts) in cases {
+        let refs: Vec<&Column> = parts.iter().collect();
+        let nway = Column::concat_many(&refs).unwrap();
+        let pairwise = fold(&parts);
+        assert_col_equiv(&nway, &pairwise, name);
+        if nway.is_encoded() || nway.dtype() == DType::Categorical {
+            assert_eq!(
+                nway, pairwise,
+                "{name}: n-way layout diverges from the fold"
+            );
+        }
+        let (pairwise_ms, nway_ms) = best_of_pair_ms(
+            iters,
+            || {
+                black_box(fold(black_box(&parts)));
+            },
+            || {
+                black_box(Column::concat_many(black_box(&refs)).unwrap());
+            },
+        );
+        results.push(ConcatBenchResult {
+            name: name.to_string(),
+            pairwise_ms,
+            nway_ms,
+            parts: parts.len(),
+            speedup: pairwise_ms / nway_ms,
+        });
+    }
+    results
+}
+
 /// The per-suite result slices of one bench run, bundled for rendering.
 /// Optional suites left empty are omitted from the artifact.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1328,6 +1431,8 @@ pub struct BenchSections<'a> {
     pub fusion: &'a [FusionBenchResult],
     /// The encoded-kernel-vs-decode-then-compute races.
     pub encoding: &'a [EncodingBenchResult],
+    /// The n-way-concat-vs-pairwise-fold partition-assembly races.
+    pub concat: &'a [ConcatBenchResult],
 }
 
 /// Render the results as the `BENCH_PR<N>.json` trajectory artifact.
@@ -1339,6 +1444,7 @@ pub fn render_json(pr: u32, rows: usize, iters: usize, sections: &BenchSections<
         pipeline,
         fusion,
         encoding,
+        concat,
     } = *sections;
     let mut out = String::new();
     out.push_str("{\n");
@@ -1447,6 +1553,21 @@ pub fn render_json(pr: u32, rows: usize, iters: usize, sections: &BenchSections<
                 .collect::<Vec<_>>(),
         ));
     }
+    if !concat.is_empty() {
+        sections.push(section(
+            "concat",
+            &concat
+                .iter()
+                .map(|r| {
+                    format!(
+                        "    {{\"name\": \"{}\", \"pairwise_ms\": {:.3}, \"nway_ms\": {:.3}, \
+                         \"parts\": {}, \"speedup\": {:.2}}}",
+                        r.name, r.pairwise_ms, r.nway_ms, r.parts, r.speedup
+                    )
+                })
+                .collect::<Vec<_>>(),
+        ));
+    }
     out.push_str(&sections.join(",\n"));
     out.push_str("\n}\n");
     out
@@ -1490,6 +1611,12 @@ mod tests {
         for r in &encoding {
             assert!(r.decoded_ms > 0.0 && r.encoded_ms > 0.0, "{}", r.name);
         }
+        let concat = run_concat_suite(20_000, 1);
+        assert_eq!(concat.len(), 4);
+        for r in &concat {
+            assert_eq!(r.parts, 3, "{}", r.name);
+            assert!(r.pairwise_ms > 0.0 && r.nway_ms > 0.0, "{}", r.name);
+        }
         let all = BenchSections {
             benches: &results,
             strings: &strings,
@@ -1497,6 +1624,7 @@ mod tests {
             pipeline: &pipeline,
             fusion: &fusion,
             encoding: &encoding,
+            concat: &concat,
         };
         let json = render_json(4, 2_000, 1, &all);
         assert!(json.contains("\"benches\""));
@@ -1516,6 +1644,8 @@ mod tests {
         assert!(json.contains("\"encoding\""));
         assert!(json.contains("enc_groupby_dict_codes"));
         assert!(json.contains("enc_filter_rle_runs"));
+        assert!(json.contains("\"concat\""));
+        assert!(json.contains("concat_categorical"));
         // Every section shape renders valid JSON-ish structure.
         let no_strings = render_json(4, 2_000, 1, &BenchSections { strings: &[], ..all });
         assert!(!no_strings.contains("\"strings\""));
@@ -1535,5 +1665,6 @@ mod tests {
         assert!(!no_parallel.contains("\"pipeline\""));
         assert!(!no_parallel.contains("\"fusion\""));
         assert!(!no_parallel.contains("\"encoding\""));
+        assert!(!no_parallel.contains("\"concat\""));
     }
 }

@@ -310,12 +310,7 @@ impl Bitmap {
     /// appended word is spliced in with two shifts, not 64 pushes).
     pub fn extend_from(&mut self, other: &Bitmap) {
         let mut w = BitWriter::from_bitmap(std::mem::replace(self, Bitmap::empty()));
-        let mut remaining = other.len;
-        for &word in &other.words {
-            let n = remaining.min(64);
-            w.append_word(word, n);
-            remaining -= n;
-        }
+        w.append_bitmap(other);
         *self = w.finish();
     }
 
@@ -452,6 +447,16 @@ impl BitWriter {
             self.nbits = self.nbits + n - 64;
         } else {
             self.nbits += n;
+        }
+    }
+
+    /// Append every bit of `bm`, one word at a time.
+    pub fn append_bitmap(&mut self, bm: &Bitmap) {
+        let mut remaining = bm.len;
+        for &word in &bm.words {
+            let n = remaining.min(64);
+            self.append_word(word, n);
+            remaining -= n;
         }
     }
 

@@ -1,6 +1,6 @@
 //! Typed column vectors and their vectorized kernels.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{BitWriter, Bitmap};
 use crate::dtype::DType;
 use crate::error::{ColumnarError, Result};
 use crate::strings::{Utf8Builder, Utf8Col};
@@ -741,133 +741,62 @@ impl Column {
         }
     }
 
-    /// Concatenate two same-dtype columns (categoricals are re-encoded).
+    /// Concatenate two same-dtype columns: [`Column::concat_many`] over
+    /// the pair.
     pub fn concat(&self, other: &Column) -> Result<Column> {
-        if self.dtype() != other.dtype() {
+        Column::concat_many(&[self, other])
+    }
+
+    /// Stack same-dtype columns in order, sizing every output buffer
+    /// once. The result equals a left fold of pairwise concats, built in
+    /// one pass over the rows instead of one per fold step:
+    ///
+    /// * null slots normalize to the builder sentinels (0 / NaN / `""` /
+    ///   false), and the validity mask exists only when some row is null;
+    /// * all-`Dict` parts unify their dictionaries once, in part order —
+    ///   the first dictionary's entries, then each later dictionary's new
+    ///   entries in its own order — and remap codes (parts sharing one
+    ///   `Arc` dictionary only append codes);
+    /// * all-`Rle` parts concatenate their run values and rebase run ends;
+    /// * mixed encodings of one dtype decode the encoded parts and take
+    ///   the plain path;
+    /// * `Categorical` re-encodes in first-appearance order over the
+    ///   concatenated rows, null rows interning `""`.
+    ///
+    /// A single part is returned as a clone; zero parts are an error.
+    pub fn concat_many(parts: &[&Column]) -> Result<Column> {
+        let Some((first, rest)) = parts.split_first() else {
+            return Err(ColumnarError::InvalidArgument(
+                "concat of zero columns".into(),
+            ));
+        };
+        if let Some(bad) = rest.iter().find(|p| p.dtype() != first.dtype()) {
             return Err(ColumnarError::TypeMismatch {
-                op: format!("concat with {}", other.dtype()),
-                dtype: self.dtype().to_string(),
+                op: format!("concat with {}", bad.dtype()),
+                dtype: first.dtype().to_string(),
             });
         }
-        let total = self.len() + other.len();
-        // Null slots are normalized to the builder's sentinel values
-        // (0 / NaN / "") so the typed path is bit-identical to the old
-        // scalar-at-a-time builder loop.
-        let has_null = self.count_null() + other.count_null() > 0;
-        let validity = has_null.then(|| {
-            Bitmap::from_iter(
-                (0..self.len())
-                    .map(|i| !self.is_null_at(i))
-                    .chain((0..other.len()).map(|i| !other.is_null_at(i))),
-            )
-        });
-        Ok(match (self, other) {
-            (Column::Int64(a, _), Column::Int64(b, _)) => {
-                let mut out = Vec::with_capacity(total);
-                out.extend(a.iter().enumerate().map(|(i, &v)| if self.is_null_at(i) { 0 } else { v }));
-                out.extend(b.iter().enumerate().map(|(i, &v)| if other.is_null_at(i) { 0 } else { v }));
-                Column::Int64(out, validity)
-            }
-            (Column::Datetime(a, _), Column::Datetime(b, _)) => {
-                let mut out = Vec::with_capacity(total);
-                out.extend(a.iter().enumerate().map(|(i, &v)| if self.is_null_at(i) { 0 } else { v }));
-                out.extend(b.iter().enumerate().map(|(i, &v)| if other.is_null_at(i) { 0 } else { v }));
-                Column::Datetime(out, validity)
-            }
-            (Column::Float64(a, _), Column::Float64(b, _)) => {
-                let mut out = Vec::with_capacity(total);
-                out.extend(a.iter().enumerate().map(|(i, &v)| if self.is_null_at(i) { f64::NAN } else { v }));
-                out.extend(b.iter().enumerate().map(|(i, &v)| if other.is_null_at(i) { f64::NAN } else { v }));
-                Column::Float64(out, validity)
-            }
-            (Column::Bool(a, _), Column::Bool(b, _)) => {
-                let mut bits = Bitmap::empty();
-                for i in 0..a.len() {
-                    bits.push(!self.is_null_at(i) && a.get(i));
+        if rest.is_empty() {
+            return Ok((*first).clone());
+        }
+        if parts.iter().all(|p| matches!(p, Column::Dict(..))) {
+            return Ok(concat_dicts(parts));
+        }
+        if parts.iter().all(|p| matches!(p, Column::Rle(_))) {
+            return concat_rles(parts);
+        }
+        let decoded: Vec<std::borrow::Cow<'_, Column>> = parts
+            .iter()
+            .map(|p| {
+                if p.is_encoded() {
+                    std::borrow::Cow::Owned(p.decode())
+                } else {
+                    std::borrow::Cow::Borrowed(*p)
                 }
-                for i in 0..b.len() {
-                    bits.push(!other.is_null_at(i) && b.get(i));
-                }
-                Column::Bool(bits, validity)
-            }
-            (Column::Utf8(a, _), Column::Utf8(b, _)) => {
-                let mut out =
-                    Utf8Builder::with_capacity(total, a.value_bytes() + b.value_bytes());
-                for (side, col) in [(self, a), (other, b)] {
-                    if side.count_null() == 0 {
-                        // Dense side: one bulk copy of its used byte range.
-                        out.append_col(col);
-                    } else {
-                        for (i, v) in col.iter().enumerate() {
-                            out.push(if side.is_null_at(i) { "" } else { v });
-                        }
-                    }
-                }
-                Column::Utf8(out.finish(), validity)
-            }
-            // Dict + Dict: unify dictionaries without touching row data.
-            // The left dictionary is kept verbatim; right-side entries
-            // not already present append in right-dict order, and right
-            // codes remap through a translation table — so per-chunk
-            // dictionaries built by the parallel CSV reader unify into
-            // exactly the dictionary a sequential first-appearance scan
-            // would have produced.
-            (Column::Dict(a, _), Column::Dict(b, _)) => {
-                let mut union = Utf8Builder::with_capacity(
-                    a.dict.len() + b.dict.len(),
-                    a.dict.value_bytes() + b.dict.value_bytes(),
-                );
-                let mut index: std::collections::HashMap<&[u8], u32> =
-                    std::collections::HashMap::with_capacity(a.dict.len() + b.dict.len());
-                for e in 0..a.dict.len() {
-                    union.push(a.dict.get(e));
-                    index.insert(a.dict.bytes_at(e), e as u32);
-                }
-                let mut next = a.dict.len() as u32;
-                let remap: Vec<u32> = (0..b.dict.len())
-                    .map(|e| match index.entry(b.dict.bytes_at(e)) {
-                        std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            union.push(b.dict.get(e));
-                            let c = next;
-                            next += 1;
-                            v.insert(c);
-                            c
-                        }
-                    })
-                    .collect();
-                let mut codes = Vec::with_capacity(total);
-                codes.extend_from_slice(&a.codes);
-                codes.extend(b.codes.iter().map(|&c| remap[c as usize]));
-                Column::Dict(
-                    Categorical {
-                        codes,
-                        dict: Arc::new(union.finish()),
-                    },
-                    validity,
-                )
-            }
-            // Rle + Rle of one dtype: append run lists, rebasing ends.
-            (Column::Rle(a), Column::Rle(b)) => {
-                let values = a.values.concat(&b.values)?;
-                let base = a.len() as u32;
-                let mut ends = a.ends.clone();
-                ends.extend(b.ends.iter().map(|&e| base + e));
-                Column::Rle(RleCol {
-                    values: Box::new(values),
-                    ends,
-                })
-            }
-            // Categoricals re-encode their dictionary, and mixed
-            // plain/encoded pairs materialize; keep the builder path.
-            _ => {
-                let mut b = ColumnBuilder::new(self.dtype());
-                for s in self.iter().chain(other.iter()) {
-                    b.push_scalar(&s)?;
-                }
-                b.finish()
-            }
-        })
+            })
+            .collect();
+        let plain: Vec<&Column> = decoded.iter().map(AsRef::as_ref).collect();
+        Ok(concat_plain(&plain))
     }
 
     // -- comparison / arithmetic / logic ---------------------------------
@@ -2227,6 +2156,283 @@ fn some_if_has_nulls(validity: Bitmap) -> Option<Bitmap> {
     } else {
         Some(validity)
     }
+}
+
+// -- n-way concat helpers (see `Column::concat_many`) ---------------------
+
+/// Marks a dictionary entry not yet mapped into the output dictionary.
+const UNMAPPED: u32 = u32::MAX;
+
+/// Output dictionary under construction: distinct strings in the order
+/// they were first interned, borrowed from the input dictionaries until
+/// [`finish`](Interner::finish) copies them into one exactly-sized arena.
+#[derive(Default)]
+struct Interner<'a> {
+    index: std::collections::HashMap<&'a str, u32>,
+    entries: Vec<&'a str>,
+}
+
+impl<'a> Interner<'a> {
+    /// `v`'s output code, appending it as a new entry on first sight.
+    fn code(&mut self, v: &'a str) -> u32 {
+        let next = self.entries.len() as u32;
+        *self.index.entry(v).or_insert_with(|| {
+            self.entries.push(v);
+            next
+        })
+    }
+
+    fn finish(self) -> Arc<Utf8Col> {
+        let bytes = self.entries.iter().map(|e| e.len()).sum();
+        let mut dict = Utf8Builder::with_capacity(self.entries.len(), bytes);
+        for e in self.entries {
+            dict.push(e);
+        }
+        Arc::new(dict.finish())
+    }
+}
+
+/// Validity of the stacked parts in the builder's shape: `None` unless
+/// some part has a null row, else assembled a word at a time — null-free
+/// parts append an all-valid run, masked parts their mask words, and
+/// float parts fold NaN cells into the mask 64 rows per word.
+fn concat_validity(parts: &[&Column], nulls: &[usize]) -> Option<Bitmap> {
+    if nulls.iter().all(|&n| n == 0) {
+        return None;
+    }
+    let mut bits = BitWriter::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for (p, &n) in parts.iter().zip(nulls) {
+        match (n, p) {
+            (0, _) => bits.append_run(true, p.len()),
+            (_, Column::Float64(data, mask)) => {
+                for (k, chunk) in data.chunks(64).enumerate() {
+                    let mut word = chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |w, (j, x)| w | (u64::from(!x.is_nan()) << j));
+                    if let Some(m) = mask {
+                        word &= m.as_words()[k];
+                    }
+                    bits.append_word(word, chunk.len());
+                }
+            }
+            _ => match p.validity() {
+                Some(m) => bits.append_bitmap(m),
+                None => bits.append_run(true, p.len()),
+            },
+        }
+    }
+    Some(bits.finish())
+}
+
+fn i64_lane(c: &Column) -> &[i64] {
+    match c {
+        Column::Int64(v, _) | Column::Datetime(v, _) => v,
+        _ => unreachable!("concat parts share one plain variant"),
+    }
+}
+
+fn f64_lane(c: &Column) -> &[f64] {
+    match c {
+        Column::Float64(v, _) => v,
+        _ => unreachable!("concat parts share one plain variant"),
+    }
+}
+
+fn utf8_lane(c: &Column) -> &Utf8Col {
+    match c {
+        Column::Utf8(v, _) => v,
+        _ => unreachable!("concat parts share one plain variant"),
+    }
+}
+
+fn dict_payload(c: &Column) -> &Categorical {
+    match c {
+        Column::Dict(c, _) => c,
+        _ => unreachable!("all parts are Dict"),
+    }
+}
+
+/// Stack fixed-width lanes: null-free parts are one `extend_from_slice`;
+/// only parts with nulls pass each slot through `fix(value, valid)`.
+fn concat_lanes<T: Copy>(
+    parts: &[&Column],
+    nulls: &[usize],
+    lane: fn(&Column) -> &[T],
+    fix: impl Fn(T, bool) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for (p, &n) in parts.iter().zip(nulls) {
+        let data = lane(p);
+        if n == 0 {
+            out.extend_from_slice(data);
+        } else {
+            let mask = p.validity();
+            out.extend(
+                data.iter()
+                    .enumerate()
+                    .map(|(i, &x)| fix(x, mask.is_none_or(|m| m.get(i)))),
+            );
+        }
+    }
+    out
+}
+
+/// n-way concat of plain parts that all share one variant.
+fn concat_plain(parts: &[&Column]) -> Column {
+    let nulls: Vec<usize> = parts.iter().map(|p| p.count_null()).collect();
+    let validity = concat_validity(parts, &nulls);
+    let int_fix = |x: i64, ok: bool| if ok { x } else { 0 };
+    match parts[0] {
+        Column::Int64(..) => {
+            Column::Int64(concat_lanes(parts, &nulls, i64_lane, int_fix), validity)
+        }
+        Column::Datetime(..) => {
+            Column::Datetime(concat_lanes(parts, &nulls, i64_lane, int_fix), validity)
+        }
+        Column::Float64(..) => {
+            let fix = |x: f64, ok: bool| if ok && !x.is_nan() { x } else { f64::NAN };
+            Column::Float64(concat_lanes(parts, &nulls, f64_lane, fix), validity)
+        }
+        Column::Bool(..) => {
+            let mut bits = BitWriter::with_capacity(parts.iter().map(|p| p.len()).sum());
+            for (p, &n) in parts.iter().zip(&nulls) {
+                match p {
+                    Column::Bool(data, Some(m)) if n > 0 => bits.append_bitmap(&data.and(m)),
+                    Column::Bool(data, _) => bits.append_bitmap(data),
+                    _ => unreachable!("concat parts share one plain variant"),
+                }
+            }
+            Column::Bool(bits.finish(), validity)
+        }
+        Column::Utf8(..) => {
+            let rows = parts.iter().map(|p| p.len()).sum();
+            let bytes = parts.iter().map(|p| utf8_lane(p).value_bytes()).sum();
+            let mut out = Utf8Builder::with_capacity(rows, bytes);
+            for (p, &n) in parts.iter().zip(&nulls) {
+                let s = utf8_lane(p);
+                if n == 0 {
+                    // Dense part: one bulk copy of its used byte range.
+                    out.append_col(s);
+                } else {
+                    for (i, v) in s.iter().enumerate() {
+                        out.push(if p.is_null_at(i) { "" } else { v });
+                    }
+                }
+            }
+            Column::Utf8(out.finish(), validity)
+        }
+        Column::Categorical(..) => concat_categoricals(parts, validity),
+        Column::Dict(..) | Column::Rle(_) => unreachable!("encoded parts are decoded first"),
+    }
+}
+
+/// Re-encode categorical parts in first-appearance order over the
+/// stacked rows (null rows intern `""`), through one lazily filled code
+/// remap per input dictionary — no per-row `Scalar` or `String`.
+fn concat_categoricals(parts: &[&Column], validity: Option<Bitmap>) -> Column {
+    let mut interner = Interner::default();
+    let mut codes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    let mut null_code: Option<u32> = None;
+    let mut remap: Vec<u32> = Vec::new();
+    let mut remap_dict: Option<&Arc<Utf8Col>> = None;
+    for p in parts {
+        let Column::Categorical(c, mask) = p else {
+            unreachable!("concat parts share one plain variant")
+        };
+        if !remap_dict.is_some_and(|d| Arc::ptr_eq(d, &c.dict)) {
+            remap.clear();
+            remap.resize(c.dict.len(), UNMAPPED);
+            remap_dict = Some(&c.dict);
+        }
+        for (i, &code) in c.codes.iter().enumerate() {
+            codes.push(if mask.as_ref().is_some_and(|m| !m.get(i)) {
+                *null_code.get_or_insert_with(|| interner.code(""))
+            } else {
+                let slot = &mut remap[code as usize];
+                if *slot == UNMAPPED {
+                    *slot = interner.code(c.dict.get(code as usize));
+                }
+                *slot
+            });
+        }
+    }
+    Column::Categorical(
+        Categorical {
+            codes,
+            dict: interner.finish(),
+        },
+        validity,
+    )
+}
+
+/// Dict parts: unify the dictionaries once in part order and remap each
+/// part's codes (a part whose remap is the identity copies its codes).
+/// Parts that all share one `Arc` dictionary keep it and append codes.
+fn concat_dicts(parts: &[&Column]) -> Column {
+    let nulls: Vec<usize> = parts.iter().map(|p| p.count_null()).collect();
+    let validity = concat_validity(parts, &nulls);
+    let first = dict_payload(parts[0]);
+    let mut codes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    if parts
+        .iter()
+        .all(|p| Arc::ptr_eq(&dict_payload(p).dict, &first.dict))
+    {
+        for p in parts {
+            codes.extend_from_slice(&dict_payload(p).codes);
+        }
+        let dict = Arc::clone(&first.dict);
+        return Column::Dict(Categorical { codes, dict }, validity);
+    }
+    let mut interner = Interner::default();
+    let mut remap: Vec<u32> = Vec::new();
+    let mut identity = false;
+    let mut remap_dict: Option<&Arc<Utf8Col>> = None;
+    for p in parts {
+        let c = dict_payload(p);
+        if !remap_dict.is_some_and(|d| Arc::ptr_eq(d, &c.dict)) {
+            remap = (0..c.dict.len())
+                .map(|e| interner.code(c.dict.get(e)))
+                .collect();
+            identity = remap.iter().enumerate().all(|(e, &r)| r as usize == e);
+            remap_dict = Some(&c.dict);
+        }
+        if identity {
+            codes.extend_from_slice(&c.codes);
+        } else {
+            codes.extend(c.codes.iter().map(|&k| remap[k as usize]));
+        }
+    }
+    Column::Dict(
+        Categorical {
+            codes,
+            dict: interner.finish(),
+        },
+        validity,
+    )
+}
+
+/// Rle parts: concatenate the run values, rebase each part's run ends.
+fn concat_rles(parts: &[&Column]) -> Result<Column> {
+    let runs: Vec<&RleCol> = parts
+        .iter()
+        .map(|p| match p {
+            Column::Rle(r) => r,
+            _ => unreachable!("all parts are Rle"),
+        })
+        .collect();
+    let values: Vec<&Column> = runs.iter().map(|r| r.values.as_ref()).collect();
+    let values = Column::concat_many(&values)?;
+    let mut ends = Vec::with_capacity(runs.iter().map(|r| r.num_runs()).sum());
+    let mut base = 0u32;
+    for r in &runs {
+        ends.extend(r.ends.iter().map(|&e| base + e));
+        base += r.len() as u32;
+    }
+    Ok(Column::Rle(RleCol {
+        values: Box::new(values),
+        ends,
+    }))
 }
 
 /// Incremental column builder used by casts, CSV parsing and row gathers.

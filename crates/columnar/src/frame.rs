@@ -7,6 +7,7 @@ use crate::dtype::DType;
 use crate::error::{ColumnarError, Result};
 use crate::series::Series;
 use crate::HeapSize;
+use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// A 2-D table of named, equal-length columns.
@@ -198,21 +199,38 @@ impl DataFrame {
         }
     }
 
-    /// Vertically stack `other` under `self` (schemas must match by name;
-    /// column order of `self` wins).
+    /// Vertically stack `other` under `self`: [`DataFrame::concat_many`]
+    /// over the pair.
     pub fn concat(&self, other: &DataFrame) -> Result<DataFrame> {
-        if self.columns.is_empty() {
-            return Ok(other.clone());
+        DataFrame::concat_many(&[self, other])
+    }
+
+    /// Vertically stack `frames` in order, each output column assembled
+    /// by one [`Column::concat_many`]. Zero-column frames are skipped;
+    /// the remaining frames must carry the first one's columns by name,
+    /// and its column order wins. A lone frame is returned as a clone, no
+    /// frame at all as [`DataFrame::empty`].
+    pub fn concat_many<F: Borrow<DataFrame>>(frames: &[F]) -> Result<DataFrame> {
+        let live: Vec<&DataFrame> = frames
+            .iter()
+            .map(Borrow::borrow)
+            .filter(|f: &&DataFrame| !f.columns.is_empty())
+            .collect();
+        let Some((first, rest)) = live.split_first() else {
+            return Ok(DataFrame::empty());
+        };
+        if rest.is_empty() {
+            return Ok((*first).clone());
         }
-        if other.columns.is_empty() {
-            return Ok(self.clone());
-        }
-        let cols = self
+        let cols = first
             .columns
             .iter()
             .map(|s| {
-                let rhs = other.column(s.name())?;
-                s.map_column(|c| c.concat(rhs.column()))
+                let parts = live
+                    .iter()
+                    .map(|f| f.column(s.name()).map(Series::column))
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(Series::new(s.name(), Column::concat_many(&parts)?))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(DataFrame { columns: cols })

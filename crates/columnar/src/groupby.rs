@@ -887,6 +887,30 @@ impl KeyCol {
         }
     }
 
+    /// Make stored group `h` of `other` group `g`'s representative key.
+    /// Only string-class stores can hold different keys for one group
+    /// (a null and a literal `"NaN"` render alike); typed stores match
+    /// exactly, so their representatives already agree.
+    fn set_from(&mut self, g: usize, other: &KeyCol, h: usize) {
+        match (self, other) {
+            (
+                KeyCol::Str { data, nulls },
+                KeyCol::Str {
+                    data: d2,
+                    nulls: n2,
+                },
+            ) => {
+                data[g] = d2[h].clone();
+                nulls[g] = n2[h];
+            }
+            (KeyCol::Canon { data, nulls }, _) => {
+                data[g] = other.rendered(h).into_owned();
+                nulls[g] = other.is_null(h);
+            }
+            _ => {}
+        }
+    }
+
     fn is_null(&self, g: usize) -> bool {
         match self {
             KeyCol::I64 { nulls, .. }
@@ -1089,6 +1113,13 @@ pub struct GroupByAccumulator {
     /// accumulator morsel after morsel, so the scratch is allocated once
     /// and grown to the largest morsel instead of once per update.
     hash_scratch: Vec<u64>,
+    /// `first_rows[g]`: the start row (`update_range`'s offset) of the
+    /// morsel in which group `g` first appeared. Morsels are disjoint, so
+    /// ordering groups by it orders them by first row. Tracked only by
+    /// the morsel-parallel partials, whose merge keeps the representative
+    /// key that appeared first, so the result does not depend on which
+    /// worker claimed which morsel.
+    first_rows: Option<Vec<usize>>,
 }
 
 impl GroupByAccumulator {
@@ -1101,6 +1132,15 @@ impl GroupByAccumulator {
             states: Vec::new(),
             value_is_int: true,
             hash_scratch: Vec::new(),
+            first_rows: None,
+        }
+    }
+
+    /// A partial over morsels of one shared frame (see `first_rows`).
+    fn new_partial(spec: GroupBySpec) -> GroupByAccumulator {
+        GroupByAccumulator {
+            first_rows: Some(Vec::new()),
+            ..GroupByAccumulator::new(spec)
         }
     }
 
@@ -1215,6 +1255,9 @@ impl GroupByAccumulator {
             }
         }
         self.hash_scratch = row_hashes;
+        if let Some(first) = &mut self.first_rows {
+            first.resize(self.states.len(), offset);
+        }
         Ok(())
     }
 
@@ -1258,7 +1301,9 @@ impl GroupByAccumulator {
     /// Merge a sibling accumulator (same spec) — used by the parallel
     /// (Modin-like) backend to combine per-partition states, and it reuses
     /// the same hashed representation: no keys are re-rendered on the
-    /// common path.
+    /// common path. A group both sides saw keeps `self`'s representative
+    /// key, except between morsel partials of one frame, where the key
+    /// whose first row comes earliest wins.
     pub fn merge(&mut self, other: &GroupByAccumulator) {
         self.value_is_int = self.value_is_int && other.value_is_int;
         if self.key_cols.is_empty() && !other.key_cols.is_empty() {
@@ -1289,12 +1334,26 @@ impl GroupByAccumulator {
                 })
             });
             match found {
-                Some(g) => self.states[g as usize].merge(&other.states[h]),
+                Some(g) => {
+                    let g = g as usize;
+                    self.states[g].merge(&other.states[h]);
+                    if let (Some(mine), Some(theirs)) = (&mut self.first_rows, &other.first_rows) {
+                        if theirs[h] < mine[g] {
+                            mine[g] = theirs[h];
+                            for (m, t) in self.key_cols.iter_mut().zip(&other.key_cols) {
+                                m.set_from(g, t, h);
+                            }
+                        }
+                    }
+                }
                 None => {
                     let g = self.states.len() as u32;
                     self.table.entry(hash).or_default().push(g);
                     for (mine, theirs) in self.key_cols.iter_mut().zip(&other.key_cols) {
                         mine.push_from(theirs, h);
+                    }
+                    if let Some(mine) = &mut self.first_rows {
+                        mine.push(other.first_rows.as_ref().map_or(usize::MAX, |t| t[h]));
                     }
                     self.states.push(other.states[h].clone());
                 }
@@ -1308,6 +1367,7 @@ impl GroupByAccumulator {
     fn rebuild_table(&mut self) {
         let old_keys = std::mem::take(&mut self.key_cols);
         let old_states = std::mem::take(&mut self.states);
+        let old_first = self.first_rows.as_mut().map(std::mem::take);
         self.key_cols = old_keys.iter().map(KeyCol::empty_like).collect();
         self.table.clear();
         for (g, old_state) in old_states.iter().enumerate() {
@@ -1321,12 +1381,26 @@ impl GroupByAccumulator {
                 })
             });
             match found {
-                Some(c) => self.states[c as usize].merge(old_state),
+                Some(c) => {
+                    let c = c as usize;
+                    self.states[c].merge(old_state);
+                    if let (Some(first), Some(old)) = (&mut self.first_rows, &old_first) {
+                        if old[g] < first[c] {
+                            first[c] = old[g];
+                            for (mine, theirs) in self.key_cols.iter_mut().zip(&old_keys) {
+                                mine.set_from(c, theirs, g);
+                            }
+                        }
+                    }
+                }
                 None => {
                     let gid = self.states.len() as u32;
                     self.table.entry(h).or_default().push(gid);
                     for (mine, theirs) in self.key_cols.iter_mut().zip(&old_keys) {
                         mine.push_from(theirs, g);
+                    }
+                    if let (Some(first), Some(old)) = (&mut self.first_rows, &old_first) {
+                        first.push(old[g]);
                     }
                     self.states.push(old_state.clone());
                 }
@@ -1343,7 +1417,8 @@ impl GroupByAccumulator {
         // Hash table: each occupied slot holds a key, a Vec header and
         // (usually) one u32 entry.
         let table = self.table.len() * (8 + 24) + self.num_groups() * 4;
-        states + keys + table + self.hash_scratch.capacity() * 8
+        let first_rows = self.first_rows.as_ref().map_or(0, |f| f.capacity() * 8);
+        states + keys + table + self.hash_scratch.capacity() * 8 + first_rows
     }
 
     /// Produce the result frame: one row per group, sorted by key (pandas
@@ -1504,6 +1579,7 @@ fn finish_dense(
         states,
         value_is_int,
         hash_scratch: Vec::new(),
+        first_rows: None,
     };
     acc.finish()
 }
@@ -1581,7 +1657,8 @@ pub fn group_by(frame: &DataFrame, spec: &GroupBySpec) -> Result<DataFrame> {
 /// typed merge path. Falls back to the sequential [`group_by`] below
 /// [`PAR_MIN_ROWS`](crate::pool::PAR_MIN_ROWS) or on a single-thread
 /// pool; the result is identical either way (the finish step orders
-/// groups by rendered key, not by discovery order).
+/// groups by rendered key, not by discovery order, and the merge keeps
+/// each group's earliest-row key, whichever worker claimed that row).
 ///
 /// [`update_range`]: GroupByAccumulator::update_range
 pub fn group_by_par(
@@ -1603,7 +1680,7 @@ pub fn group_by_par(
     }
     let morsels = crate::pool::kernel_morsels(rows, pool.threads());
     let partials: Vec<Result<GroupByAccumulator>> = pool.run_workers(morsels.len(), |queue| {
-        let mut acc = GroupByAccumulator::new(spec.clone());
+        let mut acc = GroupByAccumulator::new_partial(spec.clone());
         while let Some(t) = queue.claim() {
             let (start, len) = morsels[t];
             acc.update_range(frame, start, len)?;
@@ -1895,6 +1972,38 @@ mod tests {
         let out = group_by(&df, &s).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(out.column("v").unwrap().get(0), Scalar::Int(3));
+    }
+
+    #[test]
+    fn partial_merge_keeps_earliest_row_key() {
+        // Row 0's null and row 2's literal "NaN" form one group. Merging
+        // the partial that saw row 2 first must still keep row 0's null
+        // as the key, exactly as the sequential pass does.
+        let df = df![
+            (
+                "k",
+                Column::from_opt_strings(vec![
+                    None,
+                    Some("x".into()),
+                    Some("NaN".into()),
+                    Some("x".into()),
+                ])
+            ),
+            ("v", Column::from_i64(vec![1, 2, 4, 8])),
+        ];
+        let s = GroupBySpec {
+            keys: vec!["k".into()],
+            value: "v".into(),
+            agg: AggKind::Sum,
+        };
+        let mut late = GroupByAccumulator::new_partial(s.clone());
+        late.update_range(&df, 2, 2).unwrap();
+        let mut early = GroupByAccumulator::new_partial(s.clone());
+        early.update_range(&df, 0, 2).unwrap();
+        late.merge(&early);
+        let out = late.finish().unwrap();
+        assert!(out.column("k").unwrap().column().is_null_at(0), "{out:?}");
+        assert_eq!(out, group_by(&df, &s).unwrap());
     }
 
     #[test]

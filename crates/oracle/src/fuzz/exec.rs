@@ -266,8 +266,13 @@ pub enum ROp {
         /// `nlargest` when true.
         largest: bool,
     },
-    /// Self-concat: append the frame's own first 64 rows.
-    Concat,
+    /// n-way self-concat: append 1–5 `(offset, len)` row ranges of the
+    /// frame itself (up to 64 rows each, empty ranges included) in one
+    /// assembly.
+    Concat {
+        /// The appended ranges, in order.
+        slices: Vec<(usize, usize)>,
+    },
     /// Contiguous row range (resolved to concrete bounds).
     Slice {
         /// Start row.
@@ -480,7 +485,17 @@ fn resolve(
             },
             None => ROp::Skip,
         },
-        8 => ROp::Concat,
+        8 => {
+            let rows = cur.num_rows();
+            ROp::Concat {
+                slices: (0..1 + raw.a as usize % 5)
+                    .map(|k| {
+                        let offset = rows * ((raw.b as usize + 37 * k) % 101) / 100;
+                        (offset, (raw.c as usize + 23 * k) % 65)
+                    })
+                    .collect(),
+            }
+        }
         9 => {
             let rows = cur.num_rows();
             ROp::Slice {
@@ -581,7 +596,9 @@ fn oracle_apply(cur: &DataFrame, aux: &DataFrame, rop: &ROp) -> DataFrame {
                 oracle::nsmallest_ref(cur, *n, col)
             }
         }
-        ROp::Concat => oracle::concat_ref(cur, &slice_frame_ref(cur, 0, 64)),
+        ROp::Concat { slices } => slices.iter().fold(cur.clone(), |acc, &(offset, len)| {
+            oracle::concat_ref(&acc, &slice_frame_ref(cur, offset, len))
+        }),
         ROp::Slice { offset, len } => slice_frame_ref(cur, *offset, *len),
         ROp::SpillRoundTrip | ROp::Encode { .. } | ROp::Decode | ROp::Skip => cur.clone(),
         ROp::Head { n } => slice_frame_ref(cur, 0, *n),
@@ -684,12 +701,9 @@ fn engine_fillna(cur: &DataFrame, fill: &Scalar) -> DataFrame {
 fn engine_spill_round_trip(cur: &DataFrame) -> ColResult<DataFrame> {
     let dir = SpillDir::in_temp();
     let file = spill_frame(&dir, cur)?;
-    let frames = file.read_all()?;
-    let mut out = cur.head(0);
-    for f in &frames {
-        out = out.concat(f)?;
-    }
-    Ok(out)
+    let mut parts = vec![cur.head(0)];
+    parts.extend(file.read_all()?);
+    DataFrame::concat_many(&parts)
 }
 
 /// One eager/pooled engine op. `pool` drives the `_par` kernel variants
@@ -735,7 +749,15 @@ fn engine_apply(
                 nsmallest(cur, *n, col)
             }
         }
-        ROp::Concat => cur.concat(&cur.head(64)),
+        ROp::Concat { slices } => {
+            let tails: Vec<DataFrame> = slices
+                .iter()
+                .map(|&(offset, len)| cur.slice(offset, len))
+                .collect();
+            let mut parts = vec![cur];
+            parts.extend(&tails);
+            DataFrame::concat_many(&parts)
+        }
         ROp::Slice { offset, len } => Ok(cur.slice(*offset, *len)),
         ROp::SpillRoundTrip => engine_spill_round_trip(cur),
         ROp::Encode { col } => engine_encode(cur, col),
