@@ -525,6 +525,103 @@ pub fn run_suite(rows: usize, iters: usize) -> Vec<BenchResult> {
     push("read_csv_mixed", seed, fast);
     std::fs::remove_file(&csv_path).ok();
 
+    // A 22-column taxi-shaped file read the way the column-selection
+    // rewrite reads it: 3 kept columns, one of them parsed as datetimes.
+    // The reference tokenizes and boxes every field, then projects.
+    let nyt_rows = (rows / 4).max(1);
+    let nyt_path = std::env::temp_dir().join(format!(
+        "lafp-kernel-bench-nyt-{nyt_rows}-{}.csv",
+        std::process::id()
+    ));
+    let nyt_schema: Vec<(String, DType)> = [
+        ("vendor_id", DType::Int64),
+        ("tpep_pickup_datetime", DType::Datetime),
+        ("tpep_dropoff_datetime", DType::Datetime),
+        ("passenger_count", DType::Int64),
+        ("trip_distance", DType::Float64),
+        ("rate_code", DType::Int64),
+        ("store_and_fwd_flag", DType::Utf8),
+        ("pu_location", DType::Int64),
+        ("do_location", DType::Int64),
+        ("payment_type", DType::Int64),
+        ("fare_amount", DType::Float64),
+        ("extra", DType::Float64),
+        ("mta_tax", DType::Float64),
+        ("tip_amount", DType::Float64),
+        ("tolls_amount", DType::Float64),
+        ("improvement_surcharge", DType::Float64),
+        ("total_amount", DType::Float64),
+        ("congestion_surcharge", DType::Float64),
+        ("airport_fee", DType::Float64),
+        ("trip_type", DType::Int64),
+        ("ehail_fee", DType::Float64),
+        ("note", DType::Utf8),
+    ]
+    .map(|(name, dt)| (name.to_string(), dt))
+    .to_vec();
+    {
+        use std::io::Write as _;
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&nyt_path).unwrap());
+        let names: Vec<&str> = nyt_schema.iter().map(|(n, _)| n.as_str()).collect();
+        writeln!(w, "{}", names.join(",")).unwrap();
+        for i in 0..nyt_rows {
+            let stamp = |k: usize| {
+                lafp_columnar::value::format_datetime(
+                    1_704_067_200 + ((i * 7_919 + k) % 31_536_000) as i64,
+                )
+            };
+            let fare = (i % 1_000) as f64 * 0.1 - 5.0;
+            writeln!(
+                w,
+                "{},{},{},{},{:.2},{},{},{},{},{},{fare:.2},{:.2},0.50,{:.2},{:.2},0.30,{:.2},{:.2},{:.2},{},{:.2},trip-note-{i}",
+                1 + i % 2,
+                stamp(0),
+                stamp(900),
+                1 + i % 6,
+                (i % 400) as f64 * 0.1,
+                1 + i % 6,
+                if i % 2 == 0 { "Y" } else { "N" },
+                1 + i % 265,
+                1 + (i * 7) % 265,
+                1 + i % 4,
+                (i % 300) as f64 * 0.01,
+                (i % 2_000) as f64 * 0.01,
+                (i % 1_000) as f64 * 0.01,
+                fare + (i % 3_000) as f64 * 0.01,
+                (i % 275) as f64 * 0.01,
+                (i % 500) as f64 * 0.01,
+                1 + i % 2,
+                (i % 100) as f64 * 0.01,
+            )
+            .unwrap();
+        }
+        w.flush().unwrap();
+    }
+    let kept = ["tpep_pickup_datetime", "passenger_count", "fare_amount"].map(String::from);
+    let nyt_options = CsvOptions::new()
+        .with_usecols(kept.to_vec())
+        .with_parse_dates(vec!["tpep_pickup_datetime".into()]);
+    assert_frame_equiv(
+        &read_csv(&nyt_path, &nyt_options).unwrap(),
+        &read_csv_ref(&nyt_path, &nyt_schema).select(&kept).unwrap(),
+        "read_csv_projected",
+    );
+    let (seed, fast) = best_of_pair_ms(
+        iters,
+        || {
+            black_box(
+                read_csv_ref(black_box(&nyt_path), &nyt_schema)
+                    .select(&kept)
+                    .unwrap(),
+            );
+        },
+        || {
+            black_box(read_csv(black_box(&nyt_path), &nyt_options).unwrap());
+        },
+    );
+    push("read_csv_projected", seed, fast);
+    std::fs::remove_file(&nyt_path).ok();
+
     results
 }
 
@@ -1632,6 +1729,7 @@ mod tests {
         assert!(json.contains("join_inner_i64key"));
         assert!(json.contains("sort_single_f64"));
         assert!(json.contains("read_csv_mixed"));
+        assert!(json.contains("read_csv_projected"));
         assert!(json.contains("\"strings\""));
         assert!(json.contains("utf8_take_join_runs"));
         assert!(json.contains("\"parallel\""));

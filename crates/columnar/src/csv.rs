@@ -5,6 +5,16 @@
 //! including `category` (metadata optimization, §3.6), and `parse_dates`.
 //! A chunked reader provides the partition stream for the out-of-core
 //! (Dask-like) backend.
+//!
+//! Every reader drives one block scan core, `scan_record`: eight bytes
+//! at a time it classifies `,` `"` `\n` with SWAR masks, walks the set
+//! bits with quote parity, spans fields only up to the last kept column
+//! and counts the rest. [`CsvChunkReader`] (and so [`read_csv`]) feeds
+//! it fixed-size blocks of the file; [`read_csv_par`] feeds it
+//! record-aligned pieces of the whole body from one serial classifier
+//! pass. ARCHITECTURE.md ("CSV scan") states the rules it keeps.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::column::ColumnBuilder;
 use crate::dtype::DType;
@@ -14,7 +24,7 @@ use crate::series::Series;
 use crate::value::parse_datetime;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Options accepted by [`read_csv`] (a subset of pandas `read_csv`).
@@ -59,98 +69,366 @@ impl CsvOptions {
     }
 }
 
-/// One field's location after [`split_spans`]: a byte range into either
-/// the raw line (zero-copy fast path) or the normalized scratch buffer
-/// (quoted lines, after unescaping).
-#[derive(Debug, Clone, Copy)]
-struct FieldSpan {
-    start: usize,
-    end: usize,
-    /// True when the range indexes the scratch buffer instead of the line.
-    in_scratch: bool,
+/// Bytes the streaming reader reads from its file per refill.
+const BLOCK: usize = 128 * 1024;
+
+/// The high bit of every byte of `word` equal to `byte`, and no other
+/// bit. Borrow-free: `(x & 0x7f..) + 0x7f..` cannot carry into the next
+/// byte, so unlike the cheaper `(x - 0x01..) & !x & 0x80..` zero test it
+/// never flags the byte after a match (which would read the `-` of
+/// `,-3.21` as a second comma).
+#[inline(always)]
+fn byte_mask(word: u64, byte: u8) -> u64 {
+    let x = word ^ (u64::from(byte) * 0x0101_0101_0101_0101);
+    !(((x & 0x7f7f_7f7f_7f7f_7f7f) + 0x7f7f_7f7f_7f7f_7f7f) | x) & 0x8080_8080_8080_8080
 }
 
-/// Split one record into borrowed field spans, quote-aware.
-///
-/// Lines without a double quote take the zero-copy fast path: every field
-/// is a direct slice of `line` and nothing is written to `scratch`.
-/// Quoted lines are normalized (quotes stripped, `""` unescaped) into
-/// `scratch` with one byte-run copy per unquoted stretch — still no
-/// per-field allocation. This is the inner loop that replaces the seed's
-/// `Vec<String>`-per-record `split_record`.
-fn split_spans(line: &str, spans: &mut Vec<FieldSpan>, scratch: &mut String) {
-    spans.clear();
-    scratch.clear();
-    let bytes = line.as_bytes();
-    if !bytes.contains(&b'"') {
-        let mut start = 0;
-        for (i, &b) in bytes.iter().enumerate() {
-            if b == b',' {
-                spans.push(FieldSpan { start, end: i, in_scratch: false });
-                start = i + 1;
-            }
+/// The little-endian word at `bytes[i..]` (`i < bytes.len()`),
+/// zero-padded past the end; a zero byte is never structural.
+#[inline(always)]
+fn load(bytes: &[u8], i: usize) -> u64 {
+    let rest = &bytes[i..];
+    match rest.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => {
+            let mut pad = [0u8; 8];
+            pad[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(pad)
         }
-        spans.push(FieldSpan {
-            start,
-            end: bytes.len(),
-            in_scratch: false,
-        });
-        return;
     }
-    // Quote-aware path. '"' and ',' are ASCII, so the runs between them
-    // are whole UTF-8 sequences and can be copied as &str slices.
-    let len = bytes.len();
-    let mut i = 0;
-    let mut field_start = 0;
-    let mut in_quotes = false;
-    while i < len {
-        if in_quotes {
-            let j = bytes[i..]
-                .iter()
-                .position(|&b| b == b'"')
-                .map_or(len, |p| i + p);
-            scratch.push_str(&line[i..j]);
-            i = j;
-            if i < len {
-                if bytes.get(i + 1) == Some(&b'"') {
-                    scratch.push('"');
-                    i += 2;
-                } else {
-                    in_quotes = false;
-                    i += 1;
+}
+
+/// One field of the current record: `(start, end, holds a quote)`, a
+/// byte range of the scanned text and whether it must be unescaped.
+type Span = (usize, usize, bool);
+
+/// The block scan core: scan the record that starts at `text[start]`
+/// and return `(next record's start, field count, physical lines)`; the
+/// count is 0 for an empty line and the lines include the terminator.
+///
+/// Each 8-byte word is classified into `,` `"` `\n` masks and the set
+/// bits are walked in order with quote parity (a `""` escape toggles
+/// twice, so parity holds). Inside quotes `,` and `\n` are content, but
+/// every `\n` still counts a physical line. Spans are pushed for the
+/// first `need` fields only; past them a word with no quote and no
+/// newline just adds the popcount of its commas. Trailing `\r` / `\n`
+/// are trimmed from the record. `None` when `text` ends before the
+/// record does and `at_eof` is false; at EOF the unterminated tail, even
+/// inside an open quote, is the last record.
+fn scan_record(
+    text: &[u8],
+    start: usize,
+    at_eof: bool,
+    need: usize,
+    spans: &mut Vec<Span>,
+) -> Option<(usize, usize, usize)> {
+    spans.clear();
+    let (mut field_start, mut quoted, mut in_quotes) = (start, false, false);
+    let (mut fields, mut quoted_lines) = (0usize, 0usize);
+    let mut terminator = None;
+    let mut i = start;
+    'words: while i < text.len() {
+        let w = load(text, i);
+        let (commas, quotes) = (byte_mask(w, b','), byte_mask(w, b'"'));
+        let newlines = byte_mask(w, b'\n');
+        if fields >= need && !in_quotes && (quotes | newlines) == 0 {
+            fields += commas.count_ones() as usize;
+            i += 8;
+            continue;
+        }
+        let mut bits = commas | quotes | newlines;
+        while bits != 0 {
+            let k = i + (bits.trailing_zeros() / 8) as usize;
+            bits &= bits - 1;
+            match (text[k], in_quotes) {
+                (b'"', _) => {
+                    in_quotes = !in_quotes;
+                    quoted = true;
                 }
-            }
-        } else {
-            match bytes[i] {
-                b'"' => {
-                    in_quotes = true;
-                    i += 1;
-                }
-                b',' => {
-                    spans.push(FieldSpan {
-                        start: field_start,
-                        end: scratch.len(),
-                        in_scratch: true,
-                    });
-                    field_start = scratch.len();
-                    i += 1;
+                (b'\n', true) => quoted_lines += 1,
+                (b',', true) => {}
+                (b',', false) => {
+                    if fields < need {
+                        spans.push((field_start, k, quoted));
+                    }
+                    fields += 1;
+                    field_start = k + 1;
+                    quoted = false;
                 }
                 _ => {
-                    let j = bytes[i..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b',')
-                        .map_or(len, |p| i + p);
-                    scratch.push_str(&line[i..j]);
-                    i = j;
+                    terminator = Some(k);
+                    break 'words;
                 }
             }
         }
+        i += 8;
     }
-    spans.push(FieldSpan {
-        start: field_start,
-        end: scratch.len(),
-        in_scratch: true,
-    });
+    let (mut end, next) = match terminator {
+        Some(k) => (k, k + 1),
+        None if at_eof => (text.len(), text.len()),
+        None => return None,
+    };
+    while end > start && matches!(text[end - 1], b'\r' | b'\n') {
+        end -= 1;
+    }
+    if end == start {
+        return Some((next, 0, quoted_lines + 1));
+    }
+    if fields < need {
+        spans.push((field_start, end, quoted));
+    }
+    Some((next, fields + 1, quoted_lines + 1))
+}
+
+/// Strip the quotes of one field and unescape its `""` pairs into `out`,
+/// exactly as a quote-aware split does: outside quotes a `"` opens,
+/// inside one `""` is a literal quote and a lone `"` closes.
+fn unescape(raw: &str, out: &mut String) {
+    out.clear();
+    let bytes = raw.as_bytes();
+    let (mut run, mut i, mut in_quotes) = (0, 0, false);
+    while i < bytes.len() {
+        if bytes[i] != b'"' {
+            i += 1;
+            continue;
+        }
+        out.push_str(&raw[run..i]);
+        if in_quotes && bytes.get(i + 1) == Some(&b'"') {
+            out.push('"');
+            i += 2;
+        } else {
+            in_quotes = !in_quotes;
+            i += 1;
+        }
+        run = i;
+    }
+    out.push_str(&raw[run..]);
+}
+
+/// Record-level state every reader shares: the physical line reached
+/// and the current record's spans.
+struct Tokenizer {
+    /// The file, for error messages.
+    path: PathBuf,
+    /// Header width: every record must have exactly this many fields.
+    width: usize,
+    /// Fields to span: one past the last kept column.
+    need: usize,
+    /// Physical lines consumed so far (the header is line 1).
+    line: usize,
+    spans: Vec<Span>,
+    /// Unescape buffer for the quoted field being read.
+    scratch: String,
+}
+
+/// Receives each record: the tokenizer positioned on it, the text its
+/// spans index, and its first physical line.
+type Sink<'s> = dyn FnMut(&mut Tokenizer, &str, usize) -> Result<()> + 's;
+
+impl Tokenizer {
+    fn new(path: &Path, width: usize, keep: &[usize], line: usize) -> Tokenizer {
+        Tokenizer {
+            path: path.to_path_buf(),
+            width,
+            need: keep.last().map_or(0, |&k| k + 1),
+            line,
+            spans: Vec::new(),
+            scratch: String::new(),
+        }
+    }
+
+    /// Feed up to `max` non-empty records of `text` from `*pos` to `sink`,
+    /// each with the physical line it starts on, and return how many were
+    /// fed; stop early when `text` holds no further complete record. A
+    /// ragged record is an error naming its first physical line and its
+    /// true field count.
+    fn feed(
+        &mut self,
+        text: &str,
+        pos: &mut usize,
+        at_eof: bool,
+        max: usize,
+        sink: &mut Sink<'_>,
+    ) -> Result<usize> {
+        let mut fed = 0;
+        while fed < max && *pos < text.len() {
+            let Some((next, fields, lines)) =
+                scan_record(text.as_bytes(), *pos, at_eof, self.need, &mut self.spans)
+            else {
+                break;
+            };
+            let first = self.line + 1;
+            *pos = next;
+            self.line += lines;
+            if fields == 0 {
+                continue;
+            }
+            if fields != self.width {
+                return Err(ColumnarError::Csv(format!(
+                    "{:?}: line {first} has {fields} fields, expected {}",
+                    self.path, self.width
+                )));
+            }
+            sink(self, text, first)?;
+            fed += 1;
+        }
+        Ok(fed)
+    }
+
+    /// Field `idx` (below `need`) of the current record: a slice of
+    /// `text`, or its unescaped copy in `scratch` when it holds a quote.
+    fn field<'a>(&'a mut self, text: &'a str, idx: usize) -> &'a str {
+        let (start, end, quoted) = self.spans[idx];
+        if !quoted {
+            return &text[start..end];
+        }
+        unescape(&text[start..end], &mut self.scratch);
+        &self.scratch
+    }
+
+    /// Parse the current record's kept fields into `builders`.
+    fn parse_kept(
+        &mut self,
+        text: &str,
+        line: usize,
+        keep: &[usize],
+        dtypes: &[DType],
+        builders: &mut [ColumnBuilder],
+    ) -> Result<()> {
+        for ((&col, &dtype), builder) in keep.iter().zip(dtypes).zip(builders) {
+            parse_field(builder, self.field(text, col), dtype, line)?;
+        }
+        Ok(())
+    }
+}
+
+/// The error `read_line` gives for bytes that are not UTF-8.
+fn invalid_utf8() -> ColumnarError {
+    std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8").into()
+}
+
+/// An I/O error on `path`, naming it.
+fn io_error(path: &Path, e: std::io::Error) -> ColumnarError {
+    ColumnarError::Io {
+        kind: e.kind(),
+        message: format!("{path:?}: {e}"),
+    }
+}
+
+/// The streaming reader's source: `file` read in `block`-byte refills
+/// into one reused buffer, of which `buf[start..end]` is not yet
+/// consumed, and the tokenizer over it.
+struct RecordStream {
+    file: File,
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    eof: bool,
+    block: usize,
+    tok: Tokenizer,
+    /// Scan position within the current window (relative to `start`).
+    cursor: usize,
+    done: bool,
+}
+
+/// The complete-record prefix of `bytes` as text: cut after the last
+/// newline (nothing is cut at EOF) and validated by one `str::from_utf8`
+/// call. Also says whether it runs to EOF, and whether invalid UTF-8
+/// follows it (then it stops at the last valid byte).
+fn window(bytes: &[u8], eof: bool) -> (&str, bool, bool) {
+    let cut = match eof {
+        true => bytes.len(),
+        false => bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1),
+    };
+    match std::str::from_utf8(&bytes[..cut]) {
+        Ok(text) => (text, eof, false),
+        Err(e) => {
+            let valid = std::str::from_utf8(&bytes[..e.valid_up_to()]);
+            (valid.unwrap_or_default(), false, true)
+        }
+    }
+}
+
+impl RecordStream {
+    /// Open `path` and read its header: the first physical line (quotes
+    /// do not join header lines).
+    fn open(path: &Path, block: usize) -> Result<(RecordStream, Vec<String>)> {
+        let mut s = RecordStream {
+            file: File::open(path).map_err(|e| io_error(path, e))?,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            eof: false,
+            block: block.max(1),
+            tok: Tokenizer::new(path, 0, &[], 1),
+            cursor: 0,
+            done: false,
+        };
+        let header_end = loop {
+            match s.buf[..s.end].iter().position(|&b| b == b'\n') {
+                Some(p) => break p + 1,
+                None if s.eof => break s.end,
+                None => s.refill()?,
+            }
+        };
+        let line = std::str::from_utf8(&s.buf[..header_end]).map_err(|_| invalid_utf8())?;
+        let header = parse_header(line, path)?;
+        s.start = header_end;
+        Ok((s, header))
+    }
+
+    /// Move the unconsumed bytes to the front and read one block, or as
+    /// many bytes as are kept when that is more: a record (or sample)
+    /// longer than a block doubles the buffer, so it is rescanned only
+    /// a logarithmic number of times. A zero-byte read sets `eof`.
+    fn refill(&mut self) -> Result<()> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let want = self.block.max(self.end);
+        if self.buf.len() < self.end + want {
+            self.buf.resize(self.end + want, 0);
+        }
+        let n = loop {
+            match self.file.read(&mut self.buf[self.end..self.end + want]) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
+        self.eof = n == 0;
+        self.end += n;
+        Ok(())
+    }
+
+    /// Feed up to `max` records to `sink`, refilling as the window runs
+    /// out, and return how many were fed. A record is only cut from the
+    /// buffer once fed, unless `consume` is false: then every byte stays
+    /// put so the records can be read again from `cursor` 0.
+    fn drive(&mut self, max: usize, consume: bool, sink: &mut Sink<'_>) -> Result<usize> {
+        let mut fed = 0;
+        while fed < max && !self.done {
+            let (text, at_eof, bad_utf8) = window(&self.buf[self.start..self.end], self.eof);
+            fed += self
+                .tok
+                .feed(text, &mut self.cursor, at_eof, max - fed, sink)?;
+            if consume {
+                self.start += self.cursor;
+                self.cursor = 0;
+            }
+            if fed == max {
+                break;
+            }
+            if bad_utf8 {
+                return Err(invalid_utf8());
+            }
+            if at_eof {
+                self.done = true;
+            } else {
+                self.refill()?;
+            }
+        }
+        Ok(fed)
+    }
 }
 
 /// Split one CSV record honoring double-quote escaping (RFC-4180 style).
@@ -190,90 +468,24 @@ pub fn quote_field(field: &str) -> String {
     }
 }
 
-/// Number of double-quote bytes in `s` — the quote-parity counter the
-/// multiline-record rule rests on: a record continues onto the next
-/// physical line exactly while its accumulated quote count is odd
-/// (an open quoted field), and `""` escapes add two, preserving parity.
-#[inline]
-fn count_quotes(s: &str) -> usize {
-    s.as_bytes().iter().filter(|&&b| b == b'"').count()
-}
-
-/// Iterator over the records of an in-memory CSV body, quote-aware: a
-/// newline inside an open quoted field is content, not a terminator.
-///
-/// Yields `(raw_record, physical_lines)` where `raw_record` excludes
-/// the terminating newline (interior newlines stay verbatim) and
-/// `physical_lines` is how many physical lines the record advances the
-/// file position by: its interior newlines plus its terminator (or plus
-/// one when the final record is unterminated). Shared by the parallel
-/// reader's dtype-inference sample and per-chunk parse loops so both
-/// agree with the streaming reader's record segmentation exactly.
-struct Records<'a> {
-    body: &'a str,
-    pos: usize,
-}
-
-impl<'a> Records<'a> {
-    fn over(body: &'a str) -> Records<'a> {
-        Records { body, pos: 0 }
-    }
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = (&'a str, usize);
-
-    fn next(&mut self) -> Option<(&'a str, usize)> {
-        if self.pos >= self.body.len() {
-            return None;
-        }
-        let bytes = self.body.as_bytes();
-        let start = self.pos;
-        let mut lines = 0usize;
-        let mut in_quotes = false;
-        for (i, &b) in bytes.iter().enumerate().skip(start) {
-            match b {
-                b'"' => in_quotes = !in_quotes,
-                b'\n' => {
-                    lines += 1;
-                    if !in_quotes {
-                        self.pos = i + 1;
-                        return Some((&self.body[start..i], lines));
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Unterminated final record (possibly with an unbalanced quote):
-        // it still occupies one more physical line than its interior
-        // newlines.
-        self.pos = self.body.len();
-        Some((&self.body[start..], lines + 1))
-    }
-}
-
 /// Fire the `csv_read` injection point, attaching the file path to the
 /// synthetic error (see [`faults`](crate::faults)).
 fn inject_csv(path: &Path) -> Result<()> {
-    crate::faults::inject_io(crate::faults::FaultSite::CsvRead).map_err(|e| {
-        ColumnarError::Io {
-            kind: e.kind(),
-            message: format!("{path:?}: {e}"),
-        }
-    })
+    crate::faults::inject_io(crate::faults::FaultSite::CsvRead).map_err(|e| io_error(path, e))
 }
 
-/// Read just the header row of a CSV file.
-pub fn read_header(path: &Path) -> Result<Vec<String>> {
-    let file = File::open(path).map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+/// Split the header line (terminator included or not).
+fn parse_header(line: &str, path: &Path) -> Result<Vec<String>> {
     let line = line.trim_end_matches(['\n', '\r']);
     if line.is_empty() {
         return Err(ColumnarError::Csv(format!("{path:?}: empty header")));
     }
     Ok(split_record(line))
+}
+
+/// Read just the header row of a CSV file.
+pub fn read_header(path: &Path) -> Result<Vec<String>> {
+    RecordStream::open(path, 8 * 1024).map(|(_, header)| header)
 }
 
 /// Read a whole CSV file into a [`DataFrame`].
@@ -308,26 +520,87 @@ fn resolve_usecols(header: &[String], options: &CsvOptions, path: &Path) -> Resu
     }
 }
 
+/// Each kept column's dtype: an override, then `parse_dates`, then
+/// inference over the records `sample` feeds to a sink (it is asked for
+/// the first `infer_rows`, 1000 when that is 0).
+fn infer_dtypes(
+    header: &[String],
+    keep: &[usize],
+    options: &CsvOptions,
+    sample: impl FnOnce(usize, &mut Sink<'_>) -> Result<usize>,
+) -> Result<Vec<DType>> {
+    let mut guesses = vec![DtypeGuess::new(); keep.len()];
+    let rows = match options.infer_rows {
+        0 => 1000,
+        n => n,
+    };
+    sample(rows, &mut |tok, text, _| {
+        for (guess, &col) in guesses.iter_mut().zip(keep) {
+            guess.update(tok.field(text, col));
+        }
+        Ok(())
+    })?;
+    Ok(keep
+        .iter()
+        .zip(&guesses)
+        .map(|(&col, guess)| match options.dtypes.get(&header[col]) {
+            Some(&dt) => dt,
+            None if options.parse_dates.contains(&header[col]) => DType::Datetime,
+            None => guess.finish(),
+        })
+        .collect())
+}
+
 /// Bodies below this size parse sequentially — chunking and worker
 /// spawn don't amortize.
 const PAR_MIN_BYTES: usize = 256 * 1024;
 
-/// [`read_csv`] driven through a worker pool.
-///
-/// The file is read into one buffer; a **quote-aware** newline pre-scan
-/// splits the body into worker chunks at record boundaries — a newline
-/// inside an open quoted field (tracked by quote parity, exactly the
-/// rule the streaming reader's record iterator uses) is field content and
-/// never a chunk boundary, so records with embedded `\n`/`\r\n` stay
-/// whole. A first parallel pass counts physical lines per chunk so error
-/// messages carry the exact sequential line numbers (a multiline record
-/// reports its *first* physical line, like the streaming reader), and a
-/// second parallel pass parses each chunk into its own typed
-/// [`ColumnBuilder`]s. The per-chunk builders are concatenated in file
-/// order ([`ColumnBuilder::append`]), so the result is bit-identical to
-/// the streaming reader at any thread count: same dtype inference
-/// (shared `DtypeGuess` over the same leading sample), same values, same
-/// validity, and the same first error.
+/// The parallel reader's one serial pass: cut `body` just past the first
+/// newline outside quotes at or beyond every `approx` bytes, as `(start,
+/// end, physical lines before start)`. Quote parity runs across the
+/// whole body, so a newline inside a quoted field never splits a record.
+/// A word that cannot hold a cut is settled by two popcounts.
+fn split_pieces(body: &[u8], approx: usize) -> Vec<(usize, usize, usize)> {
+    let mut pieces = Vec::new();
+    let (mut piece_start, mut lines_before, mut lines, mut in_quotes) = (0, 0, 0, false);
+    let mut i = 0;
+    while i < body.len() {
+        let w = load(body, i);
+        let (quotes, newlines) = (byte_mask(w, b'"'), byte_mask(w, b'\n'));
+        if i + 8 < piece_start + approx || (in_quotes && quotes == 0) {
+            lines += newlines.count_ones() as usize;
+            in_quotes ^= quotes.count_ones() % 2 == 1;
+        } else {
+            let mut bits = quotes | newlines;
+            while bits != 0 {
+                let k = i + (bits.trailing_zeros() / 8) as usize;
+                bits &= bits - 1;
+                if body[k] == b'"' {
+                    in_quotes = !in_quotes;
+                    continue;
+                }
+                lines += 1;
+                if !in_quotes && k + 1 - piece_start >= approx {
+                    pieces.push((piece_start, k + 1, lines_before));
+                    (piece_start, lines_before) = (k + 1, lines);
+                }
+            }
+        }
+        i += 8;
+    }
+    if piece_start < body.len() {
+        pieces.push((piece_start, body.len(), lines_before));
+    }
+    pieces
+}
+
+/// [`read_csv`] driven through a worker pool: the file is read into one
+/// buffer, dtypes are inferred from the streaming reader's sample, and
+/// one serial classifier pass (`split_pieces`) cuts the body into ~4
+/// record-aligned pieces per worker, each knowing its first physical
+/// line. Workers scan pieces into their own [`ColumnBuilder`]s, appended
+/// in file order: the frame, and the first error in file order, match
+/// the streaming reader's at any thread count.
 pub fn read_csv_par(
     path: &Path,
     options: &CsvOptions,
@@ -341,21 +614,13 @@ pub fn read_csv_par(
     // are read once (by the streaming reader), not twice.
     let file_bytes = std::fs::metadata(path)
         .map(|m| m.len() as usize)
-        .map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
+        .map_err(|e| io_error(path, e))?;
     if file_bytes < PAR_MIN_BYTES {
         return read_csv(path, options);
     }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
-    let (header_line, body_start) = match text.find('\n') {
-        Some(p) => (&text[..p], p + 1),
-        None => (text.as_str(), text.len()),
-    };
-    let header_line = header_line.trim_end_matches('\r');
-    if header_line.is_empty() {
-        return Err(ColumnarError::Csv(format!("{path:?}: empty header")));
-    }
-    let header = split_record(header_line);
+    let text = std::fs::read_to_string(path).map_err(|e| io_error(path, e))?;
+    let body_start = text.find('\n').map_or(text.len(), |p| p + 1);
+    let header = parse_header(&text[..body_start], path)?;
     let keep = resolve_usecols(&header, options, path)?;
     let body = &text[body_start..];
     if body.is_empty() {
@@ -363,158 +628,45 @@ pub fn read_csv_par(
         return read_csv(path, options);
     }
 
-    // Dtype inference over the same leading sample the streaming reader
-    // uses (record order is file order; ragged sample rows error with
-    // their line number exactly as the streaming reader would).
-    let sample_rows = if options.infer_rows == 0 {
-        1000
-    } else {
-        options.infer_rows
-    };
-    let mut guesses: Vec<DtypeGuess> = keep.iter().map(|_| DtypeGuess::new()).collect();
-    {
-        let mut spans: Vec<FieldSpan> = Vec::new();
-        let mut scratch = String::new();
-        let mut cursor = 1usize; // physical lines consumed; header was line 1
-        let mut sampled = 0usize;
-        for (raw, nlines) in Records::over(body) {
-            if sampled >= sample_rows {
-                break;
-            }
-            let line_no = cursor + 1;
-            cursor += nlines;
-            let line = raw.trim_end_matches(['\n', '\r']);
-            if line.is_empty() {
-                continue;
-            }
-            split_spans(line, &mut spans, &mut scratch);
-            if spans.len() != header.len() {
-                return Err(ColumnarError::Csv(format!(
-                    "{path:?}: line {line_no} has {} fields, expected {}",
-                    spans.len(),
-                    header.len()
-                )));
-            }
-            for (slot, &col_idx) in keep.iter().enumerate() {
-                let span = spans[col_idx];
-                let field = if span.in_scratch {
-                    &scratch[span.start..span.end]
-                } else {
-                    &line[span.start..span.end]
-                };
-                guesses[slot].update(field);
-            }
-            sampled += 1;
-        }
-    }
-    let dtypes: Vec<DType> = keep
-        .iter()
-        .zip(&guesses)
-        .map(|(&col_idx, guess)| {
-            let name = &header[col_idx];
-            if let Some(&dt) = options.dtypes.get(name) {
-                dt
-            } else if options.parse_dates.iter().any(|c| c == name) {
-                DType::Datetime
-            } else {
-                guess.finish()
-            }
-        })
-        .collect();
-
-    // Quote-aware newline pre-scan: carve the body into ~4 chunks per
-    // worker at *record* boundaries. Quote parity is tracked across the
-    // whole body, so a newline inside an open quoted field never splits
-    // a record across chunks (the bug this pass replaces: the old
-    // pre-scan cut at physical newlines and parsed an embedded-newline
-    // record as two corrupt records). On quote-free bodies the
-    // boundaries are identical to the old pre-scan's: each chunk ends
-    // just past the first newline at or after `approx` bytes.
-    let target_chunks = (pool.threads() * 4).max(1);
-    let approx = body.len().div_ceil(target_chunks).max(1);
-    let bytes = body.as_bytes();
-    let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(target_chunks);
-    let mut chunk_start = 0usize;
-    let mut in_quotes = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes && i + 1 - chunk_start >= approx => {
-                chunks.push((chunk_start, i + 1));
-                chunk_start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if chunk_start < bytes.len() {
-        chunks.push((chunk_start, bytes.len()));
-    }
-
-    // Pass 1: raw line counts per chunk -> each chunk's starting line
-    // number (error messages must match the streaming reader exactly).
-    let line_counts: Vec<usize> = pool.map(chunks.clone(), |_, (s, e)| {
-        bytes[s..e].iter().filter(|&&b| b == b'\n').count()
-    });
-    let mut first_line: Vec<usize> = Vec::with_capacity(chunks.len());
-    let mut lines_before = 0usize;
-    for count in &line_counts {
-        // Data line r (0-based raw index) is file line r + 2.
-        first_line.push(lines_before + 2);
-        lines_before += count;
-    }
-
-    // Pass 2: parse each chunk into its own typed builders.
-    let header_len = header.len();
-    let results: Vec<Result<Vec<ColumnBuilder>>> = pool.map(chunks, |ci, (s, e)| {
+    let dtypes = infer_dtypes(&header, &keep, options, |rows, sink| {
+        Tokenizer::new(path, header.len(), &keep, 1).feed(body, &mut 0, true, rows, sink)
+    })?;
+    let approx = body.len().div_ceil(pool.threads() * 4).max(1);
+    let pieces = split_pieces(body.as_bytes(), approx);
+    let results: Vec<Result<Vec<ColumnBuilder>>> = pool.map(pieces, |_, (start, end, before)| {
         let mut builders: Vec<ColumnBuilder> =
             dtypes.iter().map(|&dt| ColumnBuilder::new(dt)).collect();
-        let mut spans: Vec<FieldSpan> = Vec::new();
-        let mut scratch = String::new();
-        // Physical lines consumed before the current record; a record
-        // reports its first physical line, like the streaming reader.
-        let mut cursor = first_line[ci] - 1;
-        for (raw, nlines) in Records::over(&body[s..e]) {
-            let line_no = cursor + 1;
-            cursor += nlines;
-            let line = raw.trim_end_matches(['\n', '\r']);
-            if line.is_empty() {
-                continue;
-            }
-            split_spans(line, &mut spans, &mut scratch);
-            if spans.len() != header_len {
-                return Err(ColumnarError::Csv(format!(
-                    "{path:?}: line {line_no} has {} fields, expected {}",
-                    spans.len(),
-                    header_len
-                )));
-            }
-            for (slot, &col_idx) in keep.iter().enumerate() {
-                let span = spans[col_idx];
-                let field = if span.in_scratch {
-                    &scratch[span.start..span.end]
-                } else {
-                    &line[span.start..span.end]
-                };
-                parse_field(&mut builders[slot], field, dtypes[slot], line_no)?;
-            }
-        }
+        // The header is line 1.
+        Tokenizer::new(path, header.len(), &keep, 1 + before).feed(
+            &body[start..end],
+            &mut 0,
+            true,
+            usize::MAX,
+            &mut |tok, text, line| tok.parse_kept(text, line, &keep, &dtypes, &mut builders),
+        )?;
         Ok(builders)
     });
 
-    // Concatenate per-chunk builders in file order; the first error (in
-    // file order) wins, matching the streaming reader's stop-at-error.
-    let mut it = results.into_iter();
-    let mut acc = it.next().expect("at least one chunk")?;
-    for r in it {
-        for (a, b) in acc.iter_mut().zip(r?) {
-            a.append(b);
+    // Columns are assembled in parallel, each appending its pieces in
+    // file order (so capacities match a serial append), then encoded.
+    let mut columns: Vec<Vec<ColumnBuilder>> = keep.iter().map(|_| Vec::new()).collect();
+    for part in results {
+        for (column, piece) in columns.iter_mut().zip(part?) {
+            column.push(piece);
         }
     }
+    let finished = pool.map(columns, |_, pieces| {
+        let mut pieces = pieces.into_iter();
+        let mut acc = pieces.next()?;
+        pieces.for_each(|b| acc.append(b));
+        Some(finish_encoded(acc))
+    });
     let series = keep
         .iter()
-        .zip(acc)
-        .map(|(&i, b)| Series::new(header[i].clone(), finish_encoded(b)))
-        .collect();
+        .zip(finished)
+        .map(|(&i, col)| Some(Series::new(header[i].clone(), col?)))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| ColumnarError::Csv(format!("{path:?}: no body")))?;
     DataFrame::new(series)
 }
 
@@ -525,14 +677,13 @@ pub fn read_csv_par(
 /// Dask behaves; a later value that fails the inferred dtype is a parse
 /// error, not a silent re-infer).
 ///
-/// The inner loop is allocation-free per record: lines are read into a
-/// reused buffer, fields are borrowed `&str` spans (`split_spans`), and
-/// values parse straight into typed [`ColumnBuilder`]s — the seed path
-/// allocated a `Vec<String>` per record and boxed a [`Scalar`](crate::Scalar) per cell.
-/// Only the bounded inference sample is buffered as owned records.
+/// The file is read in fixed-size blocks into one reused buffer and
+/// scanned in place: kept fields are borrowed slices of it (quoted ones
+/// unescaped into one scratch string) parsed straight into typed
+/// [`ColumnBuilder`]s. The inference sample is read without consuming
+/// it, then scanned again for the first chunk.
 pub struct CsvChunkReader {
-    reader: BufReader<File>,
-    path: PathBuf,
+    stream: RecordStream,
     chunk_rows: usize,
     /// All header names, in file order.
     header: Vec<String>,
@@ -540,60 +691,40 @@ pub struct CsvChunkReader {
     keep: Vec<usize>,
     /// dtype per kept column.
     dtypes: Vec<DType>,
-    /// Records consumed during dtype inference but not yet emitted in a
-    /// chunk (the only owned records the reader ever holds), with the
-    /// file line each was read from so late parse errors report the
-    /// right line.
-    pending: std::collections::VecDeque<(usize, Vec<String>)>,
-    /// Reused line buffer for the current record.
-    line: String,
-    /// Reused normalization buffer for quoted fields.
-    scratch: String,
-    /// Field spans of the current record (into `line` or `scratch`).
-    spans: Vec<FieldSpan>,
-    /// Physical lines consumed so far (the header is line 1).
-    line_no: usize,
-    /// First physical line of the current record — what errors report.
-    /// Differs from `line_no` when a quoted field embeds newlines and
-    /// the record spans several physical lines.
-    record_line: usize,
-    done: bool,
 }
 
 impl CsvChunkReader {
     /// Open `path` and prepare to stream chunks of `chunk_rows` rows.
     pub fn open(path: &Path, options: &CsvOptions, chunk_rows: usize) -> Result<CsvChunkReader> {
+        CsvChunkReader::open_with_block_size(path, options, chunk_rows, BLOCK)
+    }
+
+    /// Test hook, not an option: [`open`](CsvChunkReader::open) with a
+    /// chosen refill size, so tests can put block edges inside every
+    /// record shape.
+    #[doc(hidden)]
+    pub fn open_with_block_size(
+        path: &Path,
+        options: &CsvOptions,
+        chunk_rows: usize,
+        block: usize,
+    ) -> Result<CsvChunkReader> {
         inject_csv(path)?;
-        let file = File::open(path).map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
-        let mut reader = BufReader::new(file);
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let header_line = line.trim_end_matches(['\n', '\r']);
-        if header_line.is_empty() {
-            return Err(ColumnarError::Csv(format!("{path:?}: empty header")));
-        }
-        let header = split_record(header_line);
-
-        // Resolve usecols -> kept indices (file order, like pandas).
+        let (mut stream, header) = RecordStream::open(path, block)?;
         let keep = resolve_usecols(&header, options, path)?;
-
-        let mut rdr = CsvChunkReader {
-            reader,
-            path: path.to_path_buf(),
+        stream.tok = Tokenizer::new(path, header.len(), &keep, 1);
+        let dtypes = infer_dtypes(&header, &keep, options, |rows, sink| {
+            stream.drive(rows, false, sink)
+        })?;
+        // Back to the first record, the header line behind it.
+        (stream.cursor, stream.tok.line, stream.done) = (0, 1, false);
+        Ok(CsvChunkReader {
+            stream,
             chunk_rows: chunk_rows.max(1),
             header,
             keep,
-            dtypes: Vec::new(),
-            pending: std::collections::VecDeque::new(),
-            line: String::new(),
-            scratch: String::new(),
-            spans: Vec::new(),
-            line_no: 1,
-            record_line: 1,
-            done: false,
-        };
-        rdr.infer_dtypes(options)?;
-        Ok(rdr)
+            dtypes,
+        })
     }
 
     /// The schema `(name, dtype)` of emitted chunks.
@@ -620,107 +751,9 @@ impl CsvChunkReader {
         DataFrame::new(series)
     }
 
-    /// Advance to the next record, filling the borrowed field spans.
-    /// Returns false at end of file. Empty lines are skipped.
-    ///
-    /// A record whose quoted field embeds a newline spans physical
-    /// lines: while the accumulated double-quote count is odd, the
-    /// terminator just read is field content, so the next physical line
-    /// is appended verbatim and parsing continues — the quote-parity
-    /// rule (`""` escapes contribute two quotes and preserve parity).
-    fn next_record(&mut self) -> Result<bool> {
-        if self.done {
-            return Ok(false);
-        }
-        loop {
-            self.line.clear();
-            let n = self.reader.read_line(&mut self.line)?;
-            if n == 0 {
-                self.done = true;
-                return Ok(false);
-            }
-            self.line_no += 1;
-            self.record_line = self.line_no;
-            let mut quotes = count_quotes(&self.line);
-            while quotes % 2 == 1 {
-                let before = self.line.len();
-                if self.reader.read_line(&mut self.line)? == 0 {
-                    // EOF inside an open quote: parse what accumulated.
-                    break;
-                }
-                self.line_no += 1;
-                quotes += count_quotes(&self.line[before..]);
-            }
-            while self.line.ends_with(['\n', '\r']) {
-                self.line.pop();
-            }
-            if self.line.is_empty() {
-                continue;
-            }
-            split_spans(&self.line, &mut self.spans, &mut self.scratch);
-            if self.spans.len() != self.header.len() {
-                return Err(ColumnarError::Csv(format!(
-                    "{:?}: line {} has {} fields, expected {}",
-                    self.path,
-                    self.record_line,
-                    self.spans.len(),
-                    self.header.len()
-                )));
-            }
-            return Ok(true);
-        }
-    }
-
-    /// Field `idx` of the current record as a borrowed slice.
-    #[inline]
-    fn field(&self, idx: usize) -> &str {
-        let span = self.spans[idx];
-        if span.in_scratch {
-            &self.scratch[span.start..span.end]
-        } else {
-            &self.line[span.start..span.end]
-        }
-    }
-
-    fn infer_dtypes(&mut self, options: &CsvOptions) -> Result<()> {
-        let sample_rows = if options.infer_rows == 0 {
-            1000
-        } else {
-            options.infer_rows
-        };
-        // Pull up to `sample_rows` records into the pending buffer (the
-        // sample is the one place the reader materializes owned records).
-        let mut sample: Vec<(usize, Vec<String>)> = Vec::new();
-        while sample.len() < sample_rows {
-            if !self.next_record()? {
-                break;
-            }
-            sample.push((
-                self.record_line,
-                (0..self.spans.len())
-                    .map(|f| self.field(f).to_string())
-                    .collect(),
-            ));
-        }
-        for (slot, &col_idx) in self.keep.iter().enumerate() {
-            let name = &self.header[col_idx];
-            let dt = if let Some(&dt) = options.dtypes.get(name) {
-                dt
-            } else if options.parse_dates.iter().any(|c| c == name) {
-                DType::Datetime
-            } else {
-                infer_dtype(sample.iter().map(|(_, r)| r[col_idx].as_str()))
-            };
-            debug_assert_eq!(slot, self.dtypes.len());
-            self.dtypes.push(dt);
-        }
-        self.pending = sample.into();
-        Ok(())
-    }
-
     /// Read the next chunk; `None` when the file is exhausted.
     pub fn next_chunk(&mut self) -> Result<Option<DataFrame>> {
-        inject_csv(&self.path)?;
+        inject_csv(&self.stream.tok.path)?;
         let mut builders: Vec<ColumnBuilder> =
             self.dtypes.iter().map(|&dt| ColumnBuilder::new(dt)).collect();
         for b in &mut builders {
@@ -728,36 +761,12 @@ impl CsvChunkReader {
             // whole-file reads, and growth doubling takes over past 16k.
             b.reserve(self.chunk_rows.min(16 * 1024));
         }
-        let mut rows = 0usize;
-        // Drain the inference sample first (each record remembers its
-        // own file line for error reporting), then stream borrowed
-        // records.
-        while rows < self.chunk_rows {
-            let Some((line_no, record)) = self.pending.pop_front() else { break };
-            for (slot, &col_idx) in self.keep.iter().enumerate() {
-                parse_field(
-                    &mut builders[slot],
-                    &record[col_idx],
-                    self.dtypes[slot],
-                    line_no,
-                )?;
-            }
-            rows += 1;
-        }
-        while rows < self.chunk_rows {
-            if !self.next_record()? {
-                break;
-            }
-            for (slot, &col_idx) in self.keep.iter().enumerate() {
-                parse_field(
-                    &mut builders[slot],
-                    self.field(col_idx),
-                    self.dtypes[slot],
-                    self.record_line,
-                )?;
-            }
-            rows += 1;
-        }
+        let (keep, dtypes) = (&self.keep, &self.dtypes);
+        let rows = self
+            .stream
+            .drive(self.chunk_rows, true, &mut |tok, text, line| {
+                tok.parse_kept(text, line, keep, dtypes, &mut builders)
+            })?;
         if rows == 0 {
             return Ok(None);
         }
@@ -814,9 +823,8 @@ fn parse_field(
 
 /// Incremental dtype inference state: Int64 ⊂ Float64 ⊂ Utf8, with Bool
 /// and Datetime recognized exactly. One instance per column, fed sample
-/// values in file order — shared by the streaming reader (column-wise
-/// over the buffered sample) and the parallel reader (row-wise over the
-/// in-memory buffer) so their inference cannot drift.
+/// values in file order by the same sample sink in both readers, so
+/// their inference cannot drift.
 #[derive(Debug, Clone)]
 struct DtypeGuess {
     any: bool,
@@ -877,18 +885,9 @@ impl DtypeGuess {
     }
 }
 
-/// Infer a dtype from sample values (see [`DtypeGuess`]).
-fn infer_dtype<'a>(values: impl Iterator<Item = &'a str>) -> DType {
-    let mut guess = DtypeGuess::new();
-    for v in values {
-        guess.update(v);
-    }
-    guess.finish()
-}
-
 /// Write a frame to CSV (header + rows; datetimes in `YYYY-MM-DD HH:MM:SS`).
 pub fn write_csv(frame: &DataFrame, path: &Path) -> Result<()> {
-    let file = File::create(path).map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
+    let file = File::create(path).map_err(|e| io_error(path, e))?;
     let mut w = std::io::BufWriter::new(file);
     writeln!(
         w,
@@ -921,6 +920,7 @@ pub fn write_csv(frame: &DataFrame, path: &Path) -> Result<()> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)] // tests may panic freely
     use super::*;
     use crate::value::Scalar;
 

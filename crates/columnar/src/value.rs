@@ -164,6 +164,48 @@ pub fn dayofweek(epoch_secs: i64) -> i64 {
 
 /// Parse `YYYY-MM-DD` or `YYYY-MM-DD HH:MM:SS` into epoch seconds.
 pub fn parse_datetime(text: &str) -> Option<i64> {
+    parse_datetime_fixed(text.as_bytes()).or_else(|| parse_datetime_general(text))
+}
+
+/// Fast path for the 19-byte `YYYY-MM-DD HH:MM:SS` (or `T`-separated)
+/// shape the CSV writer emits: byte arithmetic with the general parser's
+/// range checks (so `2024-02-30` is accepted there and here alike).
+/// `None` for any other shape or out-of-range field, and the caller then
+/// asks [`parse_datetime_general`], which decides every such input.
+#[inline]
+fn parse_datetime_fixed(b: &[u8]) -> Option<i64> {
+    let b: &[u8; 19] = b.try_into().ok()?;
+    if b[4] != b'-'
+        || b[7] != b'-'
+        || !matches!(b[10], b' ' | b'T')
+        || b[13] != b':'
+        || b[16] != b':'
+    {
+        return None;
+    }
+    let mut digits = [0u8; 14];
+    for (slot, &pos) in digits
+        .iter_mut()
+        .zip(&[0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
+    {
+        *slot = b[pos].wrapping_sub(b'0');
+        if *slot > 9 {
+            return None;
+        }
+    }
+    let two = |i: usize| u32::from(digits[i]) * 10 + u32::from(digits[i + 1]);
+    let y = i64::from(two(0) * 100 + two(2));
+    let (m, d) = (two(4), two(6));
+    let (h, mi, s) = (two(8), two(10), two(12));
+    if !(1..=12).contains(&m) || !(1..=31).contains(&d) || h >= 24 || mi >= 60 || s >= 60 {
+        return None;
+    }
+    Some(days_from_civil(y, m, d) * 86_400 + i64::from(h * 3600 + mi * 60 + s))
+}
+
+/// The general `parse_datetime`: date, optional ` ` / `T` time part,
+/// optional seconds, surrounding whitespace trimmed.
+fn parse_datetime_general(text: &str) -> Option<i64> {
     let text = text.trim();
     let (date_part, time_part) = match text.split_once(' ') {
         Some((d, t)) => (d, Some(t)),
@@ -176,10 +218,16 @@ pub fn parse_datetime(text: &str) -> Option<i64> {
     let y: i64 = it.next()?.parse().ok()?;
     let m: u32 = it.next()?.parse().ok()?;
     let d: u32 = it.next()?.parse().ok()?;
-    if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    // Years past ±2^40 overflow the epoch-seconds arithmetic below; such
+    // a stamp is not representable and parses as `None`, never a panic.
+    if it.next().is_some()
+        || !(1..=12).contains(&m)
+        || !(1..=31).contains(&d)
+        || y.unsigned_abs() > 1 << 40
+    {
         return None;
     }
-    let mut secs = days_from_civil(y, m, d) * 86_400;
+    let mut secs = days_from_civil(y, m, d).checked_mul(86_400)?;
     if let Some(t) = time_part {
         let mut parts = t.split(':');
         let h: i64 = parts.next()?.parse().ok()?;
@@ -191,7 +239,7 @@ pub fn parse_datetime(text: &str) -> Option<i64> {
         if !(0..24).contains(&h) || !(0..60).contains(&mi) || !(0..60).contains(&s) {
             return None;
         }
-        secs += h * 3600 + mi * 60 + s;
+        secs = secs.checked_add(h * 3600 + mi * 60 + s)?;
     }
     Some(secs)
 }
@@ -255,6 +303,70 @@ mod tests {
         assert_eq!(parse_datetime("2024-01-32"), None);
         assert_eq!(parse_datetime("2024-01-01 25:00:00"), None);
         assert_eq!(parse_datetime(""), None);
+    }
+
+    /// The 19-byte fast path agrees with the general parser on every
+    /// input of that length: valid stamps, out-of-range digits, a
+    /// non-digit at each position, and both separators.
+    #[test]
+    fn datetime_fast_path_matches_general() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let check = |s: &[u8]| {
+            let Ok(text) = std::str::from_utf8(s) else {
+                return;
+            };
+            let fast = parse_datetime_fixed(s);
+            assert!(
+                fast.is_none() || fast == parse_datetime_general(text),
+                "{text:?}"
+            );
+            assert_eq!(
+                parse_datetime(text),
+                parse_datetime_general(text),
+                "{text:?}"
+            );
+        };
+        let alphabet = b"0123456789-: T+x/";
+        for _ in 0..200_000 {
+            let r = next();
+            let mut s = format!(
+                "{:04}-{:02}-{:02}{}{:02}:{:02}:{:02}",
+                r % 10_000,
+                (r >> 14) % 14,
+                (r >> 18) % 33,
+                if r >> 24 & 1 == 0 { ' ' } else { 'T' },
+                (r >> 25) % 26,
+                (r >> 30) % 62,
+                (r >> 36) % 62,
+            )
+            .into_bytes();
+            check(&s);
+            // One byte replaced at a random position by a random symbol.
+            let pos = (r >> 42) as usize % 19;
+            s[pos] = alphabet[(r >> 48) as usize % alphabet.len()];
+            check(&s);
+            // Fully random bytes over the same alphabet.
+            let raw: Vec<u8> = (0..19)
+                .map(|_| alphabet[next() as usize % alphabet.len()])
+                .collect();
+            check(&raw);
+        }
+        assert_eq!(
+            parse_datetime_fixed(b"2024-02-30 00:00:00"),
+            parse_datetime_general("2024-02-30 00:00:00")
+        );
+        assert!(parse_datetime_fixed(b"2024-02-30 00:00:00").is_some());
+        assert_eq!(parse_datetime_fixed(b"+024-01-01 00:00:00"), None);
+        assert_eq!(
+            parse_datetime("+024-01-01 00:00:00"),
+            parse_datetime_general("+024-01-01 00:00:00")
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # lafp-oracle
 //!
 //! The conformance substrate: frozen seed-semantics reference
-//! implementations of every kernel ([`mod@reference`]), representation-
-//! agnostic result comparison ([`equiv`]), and a byte-driven
+//! implementations of every kernel ([`mod@reference`]) and of the two
+//! dataset scans ([`scan_ref`]), representation-agnostic result
+//! comparison ([`equiv`]), and a byte-driven
 //! differential fuzzer ([`fuzz`]) that generates random frame plans and
 //! op sequences, executes them on both the references and the real
 //! engine across an execution-config matrix, and shrinks any divergence
@@ -19,3 +20,4 @@
 pub mod equiv;
 pub mod fuzz;
 pub mod reference;
+pub mod scan_ref;
