@@ -44,7 +44,9 @@ use lafp_columnar::faults::{self, FaultSite};
 use lafp_columnar::groupby::{GroupByAccumulator, GroupBySpec};
 use lafp_columnar::join::{merge as join_merge, JoinKind};
 use lafp_columnar::pool::{panic_message, pipeline, pipeline3, StageChannel, WorkerPool};
-use lafp_columnar::sort::{cmp_rows_across, sort_values_par, FrameSortKeys, SortOptions};
+use lafp_columnar::sort::{
+    cmp_rows_across, sort_values_par, top_k, top_k_par, FrameSortKeys, SortOptions,
+};
 use lafp_columnar::spill::{spill_frame, SpillDir, SpillFile, SpillReader};
 use lafp_columnar::{
     AggKind, Bitmap, CancelToken, Column, ColumnarError, DataFrame, HeapSize, Result, Scalar,
@@ -110,6 +112,16 @@ pub enum DaskOp {
     Sort(SortOptions),
     /// First `n` rows of the stream.
     Head(usize),
+    /// The first `n` rows of the stable sort, streamed: buffers only
+    /// each partition's own best `n` rows, cut back to `n` whenever `2n`
+    /// accumulate. Over budget the candidates spill like a sort's and
+    /// the external sort finishes, stopping after `n` rows.
+    TopK {
+        /// Sort keys and directions.
+        by: SortOptions,
+        /// Rows kept.
+        n: usize,
+    },
     /// Vertical concatenation of the two inputs.
     Concat,
 }
@@ -545,6 +557,9 @@ enum NodeState {
     Head { remaining: usize, emitted: bool },
     /// Blocking sort buffer.
     Sort { buffer: PartitionBuffer },
+    /// Streaming top-k: candidate frames in arrival order, `rows` in
+    /// total.
+    TopK { buffer: PartitionBuffer, rows: usize },
     /// Streaming dedup with global seen-set.
     Dedup {
         seen: std::collections::HashSet<u64>,
@@ -728,6 +743,44 @@ impl PartitionBuffer {
         drop(parts);
         self.reservation.shrink(parts_bytes);
         Ok(result)
+    }
+
+    /// Replace the resident partitions with `cut` of their
+    /// concatenation, returning the rows now held. The concatenation is
+    /// charged while it lives; a buffer that has spilled, or whose
+    /// concatenation the budget cannot hold, is left as it is (`None`).
+    fn compact(
+        &mut self,
+        cut: impl FnOnce(&DataFrame) -> Result<DataFrame>,
+    ) -> Result<Option<usize>> {
+        if self.spilled {
+            return Ok(None);
+        }
+        let frames: Vec<&DataFrame> = self
+            .parts
+            .iter()
+            .map(|p| match p {
+                BufPart::Mem(f) => f,
+                BufPart::Disk(_) => unreachable!("a buffer that never spilled"),
+            })
+            .collect();
+        let all = DataFrame::concat_many(&frames)?;
+        if self.reservation.grow(all.heap_size()).is_err() {
+            return Ok(None);
+        }
+        let kept = cut(&all);
+        self.reservation.shrink(all.heap_size());
+        let kept = kept?;
+        let held = self.reservation.bytes();
+        let bytes = kept.heap_size();
+        if bytes > held {
+            self.reservation.grow(bytes - held)?;
+        } else {
+            self.reservation.shrink(held - bytes);
+        }
+        let rows = kept.num_rows();
+        self.parts = std::iter::once(BufPart::Mem(kept)).collect();
+        Ok(Some(rows))
     }
 }
 
@@ -1149,6 +1202,10 @@ impl BatchRun {
                     },
                     DaskOp::Sort(_) => NodeState::Sort {
                         buffer: PartitionBuffer::new(tracker, &engine.spill_dir, &cancel),
+                    },
+                    DaskOp::TopK { .. } => NodeState::TopK {
+                        buffer: PartitionBuffer::new(tracker, &engine.spill_dir, &cancel),
+                        rows: 0,
                     },
                     DaskOp::DropDuplicates(_) => NodeState::Dedup {
                         seen: std::collections::HashSet::new(),
@@ -1610,6 +1667,32 @@ impl BatchRun {
                     self.emit(engine, id, &out)
                 }
                 (DaskOp::Sort(_), NodeState::Sort { buffer }) => buffer.push(part.clone()),
+                (DaskOp::TopK { by, n }, NodeState::TopK { buffer, rows }) => {
+                    // Only a partition's own best n rows can make the
+                    // final cut. The first frame fixes the schema; later
+                    // empty ones add nothing.
+                    let candidates = if part.num_rows() > *n {
+                        top_k(part, by, *n)?
+                    } else {
+                        part.clone()
+                    };
+                    if candidates.num_rows() == 0 && !buffer.parts.is_empty() {
+                        return Ok(());
+                    }
+                    *rows += candidates.num_rows();
+                    buffer.push(candidates)?;
+                    // Cut back to n once 2n rows are held, so the buffer
+                    // stays O(n) and each row is cut O(1) times on
+                    // average; n past the input never cuts. Candidates
+                    // stay in arrival order, so index tie-breaks keep
+                    // ties in input order.
+                    if *rows > n.saturating_mul(2) {
+                        if let Some(kept) = buffer.compact(|all| top_k(all, by, *n))? {
+                            *rows = kept;
+                        }
+                    }
+                    Ok(())
+                }
                 (DaskOp::DropDuplicates(subset), NodeState::Dedup { seen, state }) => {
                     let hashes = part.row_hashes(subset)?;
                     let keep: Vec<usize> = hashes
@@ -1826,11 +1909,23 @@ impl BatchRun {
                     self.scalar_results.insert(id, Scalar::Int(*rows as i64));
                     Ok(())
                 }
+                (DaskOp::TopK { by, n }, NodeState::TopK { buffer, .. }) => {
+                    if buffer.spilled() {
+                        // The candidates outgrew the budget: external
+                        // sort, stopped after n rows.
+                        self.external_sort(engine, id, by, buffer, *n)
+                    } else {
+                        let frame = buffer.concat_all()?;
+                        let top = top_k_par(&frame, by, *n, &engine.pool)?;
+                        let _t = engine.tracker.charge(top.heap_size())?;
+                        self.emit(engine, id, &top)
+                    }
+                }
                 (DaskOp::Sort(options), NodeState::Sort { buffer }) => {
                     if buffer.spilled() {
                         // The input didn't fit in the budget: external
                         // sort (sorted on-disk runs + k-way merge).
-                        self.external_sort(engine, id, options, buffer)
+                        self.external_sort(engine, id, options, buffer, usize::MAX)
                     } else {
                         // The sort is blocking anyway — every partition
                         // is already buffered — so flush through the
@@ -1858,12 +1953,16 @@ impl BatchRun {
     /// cross-frame sort keys; key ties break toward the earlier run, so
     /// the merge is stable with respect to arrival order exactly like
     /// the in-memory path (the underlying kernel sort is stable).
+    ///
+    /// `limit` stops it after that many rows (top-k): runs keep only
+    /// their first `limit` rows and the merge ends once they are out.
     fn external_sort(
         &mut self,
         engine: &mut DaskEngine,
         id: DaskNodeId,
         options: &SortOptions,
         buffer: &mut PartitionBuffer,
+        limit: usize,
     ) -> Result<()> {
         let budget = engine.tracker.budget();
         let run_budget = if budget == usize::MAX {
@@ -1901,13 +2000,13 @@ impl BatchRun {
             acc_bytes += part.heap_size();
             acc.push(part);
             if acc_bytes >= run_budget {
-                suffix_runs.push(write_sorted_run(engine, &mut acc, options, frame_cap)?);
+                suffix_runs.push(write_sorted_run(engine, &mut acc, options, frame_cap, limit)?);
                 buffer.release(acc_bytes);
                 acc_bytes = 0;
             }
         }
         if !acc.is_empty() {
-            suffix_runs.push(write_sorted_run(engine, &mut acc, options, frame_cap)?);
+            suffix_runs.push(write_sorted_run(engine, &mut acc, options, frame_cap, limit)?);
             buffer.release(acc_bytes);
             acc_bytes = 0;
         }
@@ -1917,13 +2016,13 @@ impl BatchRun {
             acc_bytes += part.heap_size();
             acc.push(part);
             if acc_bytes >= run_budget {
-                runs.push(write_sorted_run(engine, &mut acc, options, frame_cap)?);
+                runs.push(write_sorted_run(engine, &mut acc, options, frame_cap, limit)?);
                 buffer.release(acc_bytes);
                 acc_bytes = 0;
             }
         }
         if !acc.is_empty() {
-            runs.push(write_sorted_run(engine, &mut acc, options, frame_cap)?);
+            runs.push(write_sorted_run(engine, &mut acc, options, frame_cap, limit)?);
             buffer.release(acc_bytes);
         }
         runs.extend(suffix_runs);
@@ -1937,6 +2036,7 @@ impl BatchRun {
         let mut resv = MemoryReservation::empty(&engine.tracker);
         let mut frames: Vec<Option<DataFrame>> = Vec::with_capacity(nruns);
         let mut rows: Vec<usize> = vec![0; nruns];
+        let mut remaining = limit;
         for reader in &mut readers {
             let f = next_nonempty(reader)?;
             if let Some(f) = &f {
@@ -1945,7 +2045,7 @@ impl BatchRun {
             }
             frames.push(f);
         }
-        loop {
+        while remaining > 0 {
             self.cancel.check()?;
             // Cross-frame comparators for the resident chunks. Rebuilt
             // each round (a round ends when some chunk exhausts) — cheap
@@ -2015,7 +2115,8 @@ impl BatchRun {
             }
             let ordered = combined.take(&perm)?;
             // Emit the round in chunk-sized partitions.
-            let total = ordered.num_rows();
+            let total = ordered.num_rows().min(remaining);
+            remaining -= total;
             let mut start = 0usize;
             while start < total {
                 let len = engine.chunk_rows.min(total - start);
@@ -2084,7 +2185,8 @@ fn assemble(mut parts: Vec<DataFrame>) -> Result<DataFrame> {
 }
 
 /// Concatenate and sort the accumulated partitions of one external-sort
-/// run, writing the result to a fresh spill file in frames no larger
+/// run, keeping its first `limit` rows, and write them to a fresh spill
+/// file in frames no larger
 /// than the engine chunk size or `frame_cap` bytes (whichever is
 /// smaller — the cap bounds the k-way merge's resident footprint).
 fn write_sorted_run(
@@ -2092,9 +2194,10 @@ fn write_sorted_run(
     acc: &mut Vec<DataFrame>,
     options: &SortOptions,
     frame_cap: usize,
+    limit: usize,
 ) -> Result<SpillFile> {
     let frame = assemble(std::mem::take(acc))?;
-    let sorted = sort_values_par(&frame, options, &engine.pool)?;
+    let sorted = top_k_par(&frame, options, limit, &engine.pool)?;
     drop(frame);
     let rows = sorted.num_rows();
     let row_bytes = (sorted.heap_size() / rows.max(1)).max(1);
@@ -2201,7 +2304,9 @@ fn input_requirements(
                 vec![ColumnRequirement::Some(s)]
             }
         },
-        DaskOp::Sort(opts) => vec![add_used(out, opts.by.clone())],
+        DaskOp::Sort(opts) | DaskOp::TopK { by: opts, .. } => {
+            vec![add_used(out, opts.by.clone())]
+        }
         DaskOp::DropDuplicates(subset) => vec![add_used(out, subset.clone())],
         DaskOp::Merge { on, .. } => {
             let both = add_used(out, on.clone());
@@ -2663,6 +2768,104 @@ mod tests {
         // Only the returned result's own reservation may remain charged.
         drop(result_reservation);
         assert_eq!(tracker.current(), 0, "all reservations released");
+    }
+
+    /// Top-k streams with its O(n) candidates as its only state: under
+    /// the budget that forces the full sort to spill it matches
+    /// sort → head, peaks at a few partitions, and releases everything.
+    #[test]
+    fn top_k_streams_within_budget_and_matches_sort_head() {
+        let path = temp_csv(3000);
+        let options = SortOptions {
+            by: vec!["day".into(), "fare".into()],
+            ascending: vec![true, false],
+        };
+        let mut reference = DaskEngine::new(MemoryTracker::unlimited(), 64);
+        let s = scan(&mut reference, &path);
+        let (full, _r) = reference.gather(s).unwrap();
+        let full_size = full.heap_size();
+        let so = reference.add(DaskOp::Sort(options.clone()), vec![s]);
+        let h = reference.add(DaskOp::Head(32), vec![so]);
+        let (expect, _r) = reference.gather(h).unwrap();
+
+        let tracker = MemoryTracker::with_budget(full_size / budget_divisor());
+        let mut e = DaskEngine::new(Arc::clone(&tracker), 64);
+        let s = scan(&mut e, &path);
+        let t = e.add(DaskOp::TopK { by: options, n: 32 }, vec![s]);
+        let (got, result_reservation) = e.gather(t).unwrap();
+        assert_eq!(got, expect);
+        assert!(
+            tracker.peak() < full_size / 10,
+            "top-k holds O(k): peak {} of {full_size}",
+            tracker.peak()
+        );
+        drop(result_reservation);
+        assert_eq!(tracker.current(), 0, "all reservations released");
+
+        // n = 0 and an empty stream both keep the schema.
+        let mut e = DaskEngine::new(MemoryTracker::unlimited(), 64);
+        let s = scan(&mut e, &path);
+        let t = e.add(
+            DaskOp::TopK {
+                by: SortOptions::single("fare", true),
+                n: 0,
+            },
+            vec![s],
+        );
+        let h = e.add(DaskOp::Head(0), vec![s]);
+        let t2 = e.add(
+            DaskOp::TopK {
+                by: SortOptions::single("fare", true),
+                n: 5,
+            },
+            vec![h],
+        );
+        for node in [t, t2] {
+            let (f, _r) = e.gather(node).unwrap();
+            assert_eq!(f.column_names(), vec!["fare", "day", "extra"]);
+            assert_eq!(f.num_rows(), 0);
+        }
+    }
+
+    /// Wherever sort → head finishes under a budget, top-k finishes too
+    /// with the same rows: small n is cut in memory, while n near or past
+    /// the budget spills its candidates and the external sort stops
+    /// after n rows.
+    #[test]
+    fn top_k_finishes_wherever_sort_head_does() {
+        let path = temp_csv(3000);
+        let options = SortOptions {
+            by: vec!["day".into(), "fare".into()],
+            ascending: vec![true, false],
+        };
+        let mut e = DaskEngine::new(MemoryTracker::unlimited(), 64);
+        let s = scan(&mut e, &path);
+        let full_size = e.gather(s).unwrap().0.heap_size();
+        let mut checked = 0;
+        for n in [1, 100, 500, 1000, 1500, 2999, 3000, 5000] {
+            for divisor in [2, 3, 4, 6] {
+                let budget = full_size / divisor;
+                let mut reference = DaskEngine::new(MemoryTracker::with_budget(budget), 64);
+                let s = scan(&mut reference, &path);
+                let so = reference.add(DaskOp::Sort(options.clone()), vec![s]);
+                let h = reference.add(DaskOp::Head(n), vec![so]);
+                let Ok((expect, _r)) = reference.gather(h) else {
+                    continue;
+                };
+                let tracker = MemoryTracker::with_budget(budget);
+                let mut e = DaskEngine::new(Arc::clone(&tracker), 64);
+                let s = scan(&mut e, &path);
+                let t = e.add(DaskOp::TopK { by: options.clone(), n }, vec![s]);
+                let (got, result_reservation) = e
+                    .gather(t)
+                    .unwrap_or_else(|err| panic!("n {n}, budget 1/{divisor}: {err}"));
+                assert_eq!(got, expect, "n {n}, budget 1/{divisor}");
+                drop(result_reservation);
+                assert_eq!(tracker.current(), 0, "all reservations released");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 8, "only {checked} budgeted sort → head runs finished");
     }
 
     #[test]

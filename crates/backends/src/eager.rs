@@ -16,7 +16,7 @@ use lafp_columnar::describe::describe;
 use lafp_columnar::groupby::{group_by_par, GroupBySpec};
 use lafp_columnar::join::{merge_par, JoinKind};
 use lafp_columnar::pool::WorkerPool;
-use lafp_columnar::sort::{sort_values_par, SortOptions};
+use lafp_columnar::sort::{sort_values_par, top_k_par, SortOptions};
 use lafp_columnar::{AggKind, DataFrame, HeapSize, Result, Scalar, Series};
 use lafp_expr::Expr;
 use std::path::Path;
@@ -211,6 +211,13 @@ impl EagerEngine {
         self.finish(sort_values_par(df, options, &self.pool)?)
     }
 
+    /// `df.sort_values(by=..., ascending=...).head(n)` as one top-k,
+    /// charged like the sort it replaces; `n ≥ rows` sorts on the pool.
+    pub fn top_k(&self, df: &DataFrame, options: &SortOptions, n: usize) -> Result<DataFrame> {
+        let _t = self.transient(df)?;
+        self.finish(top_k_par(df, options, n, &self.pool)?)
+    }
+
     /// `df.drop_duplicates(subset=...)`.
     pub fn drop_duplicates(&self, df: &DataFrame, subset: &[String]) -> Result<DataFrame> {
         let _t = self.transient(df)?;
@@ -347,6 +354,29 @@ mod tests {
                 .unwrap();
             assert_eq!(got, expected, "{}", e.kind());
         }
+    }
+
+    /// Top-k equals sort → head on every engine, for n inside and past
+    /// the input, and charges the sort's transient: a budget the sort
+    /// cannot run in fails it too.
+    #[test]
+    fn top_k_is_sort_then_head_and_charges_like_it() {
+        let df = sample(60);
+        let options = SortOptions {
+            by: vec!["day".into(), "fare".into()],
+            ascending: vec![false, true],
+        };
+        let sorted = engines()[0].sort_values(&df, &options).unwrap();
+        for e in engines() {
+            for n in [0, 5, 60, 70] {
+                let got = e.top_k(&df, &options, n).unwrap();
+                assert_eq!(got, sorted.head(n), "{} n={n}", e.kind());
+            }
+        }
+        let tight = EagerEngine::new(BackendKind::Pandas, MemoryTracker::with_budget(2_000), 0);
+        let df = sample(500);
+        assert!(tight.sort_values(&df, &options).is_err());
+        assert!(tight.top_k(&df, &options, 5).is_err());
     }
 
     #[test]

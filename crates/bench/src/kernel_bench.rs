@@ -21,7 +21,7 @@ use lafp_columnar::csv::{read_csv, read_csv_par, CsvOptions};
 use lafp_columnar::groupby::{group_by, group_by_par, AggKind, GroupBySpec};
 use lafp_columnar::join::{merge, merge_par, JoinKind};
 use lafp_columnar::pool::WorkerPool;
-use lafp_columnar::sort::{nlargest, sort_values, sort_values_par, SortOptions};
+use lafp_columnar::sort::{nlargest, sort_values, sort_values_par, top_k, SortOptions};
 use lafp_columnar::{Bitmap, Column, DType, DataFrame, Scalar, Series};
 use lafp_expr::Expr;
 use lafp_oracle::equiv::{assert_col_equiv, assert_frame_close, assert_frame_equiv};
@@ -474,6 +474,24 @@ pub fn run_suite(rows: usize, iters: usize) -> Vec<BenchResult> {
     },
     );
     push("nlargest_100_f64", seed, fast);
+
+    // Sort-then-head as one top-k (the optimizer's rewrite target):
+    // two keys in mixed directions against the reference full sort.
+    assert_frame_equiv(
+        &top_k(&frame, &sort_multi, top_n).unwrap(),
+        &sort_values_ref(&frame, &sort_multi).head(top_n),
+        "top_k_multikey",
+    );
+    let (seed, fast) = best_of_pair_ms(
+        iters,
+        || {
+        black_box(sort_values_ref(black_box(&frame), &sort_multi).head(top_n));
+    },
+        || {
+        black_box(top_k(black_box(&frame), &sort_multi, top_n).unwrap());
+    },
+    );
+    push("top_k_multikey_100", seed, fast);
 
     // -- CSV ingestion -------------------------------------------------
     // A mixed-dtype file written once outside the timed region: int id,

@@ -8,8 +8,9 @@
 //! seed implementation materialized a `Vec<Scalar>` per key column and
 //! dispatched `cmp_values` per comparison, which dominated the sort's
 //! cost. A single-key sort takes a fast path that sorts indices directly
-//! against one slice; `nlargest`/`nsmallest` use a partial
-//! `select_nth_unstable`-based top-n instead of sorting the whole frame.
+//! against one slice; [`top_k`] (and `nlargest`/`nsmallest` over it) uses
+//! a partial `select_nth_unstable`-based selection instead of sorting the
+//! whole frame.
 //!
 //! Multi-key sorts additionally pack the leading keys into a single
 //! `u64` *normalized key* per row (`NormKeys`): each key gets a lane
@@ -29,7 +30,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Categorical, Column};
-use crate::error::Result;
+use crate::error::{ColumnarError, Result};
 use crate::frame::DataFrame;
 use crate::pool::{kernel_morsels, WorkerPool, PAR_MIN_ROWS};
 use crate::series::Series;
@@ -41,7 +42,8 @@ use std::cmp::Ordering;
 pub struct SortOptions {
     /// Key column names, highest priority first.
     pub by: Vec<String>,
-    /// Per-key ascending flags; a single flag is broadcast over all keys.
+    /// Per-key ascending flags; a single flag is broadcast over all keys,
+    /// any other length mismatch is an error.
     pub ascending: Vec<bool>,
 }
 
@@ -63,10 +65,25 @@ impl SortOptions {
         }
     }
 
+    /// pandas' check at every sort entry point: one flag broadcasts,
+    /// otherwise there must be exactly one flag per key.
+    fn validate(&self) -> Result<()> {
+        let (asc, by) = (self.ascending.len(), self.by.len());
+        if asc == by || asc == 1 {
+            Ok(())
+        } else {
+            Err(ColumnarError::InvalidArgument(format!(
+                "Length of ascending ({asc}) != length of by ({by})"
+            )))
+        }
+    }
+
+    /// Direction of key `k` (call only after [`validate`](Self::validate)).
     fn dir(&self, k: usize) -> bool {
-        self.ascending.get(k).copied().unwrap_or(
-            self.ascending.first().copied().unwrap_or(true),
-        )
+        match self.ascending.as_slice() {
+            [one] => *one,
+            flags => flags[k],
+        }
     }
 }
 
@@ -703,6 +720,7 @@ fn argsort_single(key: &SortKey<'_>, n: usize) -> Vec<usize> {
 
 /// Resolve the key columns and directions of `options` against `frame`.
 fn sort_keys<'a>(frame: &'a DataFrame, options: &SortOptions) -> Result<Vec<SortKey<'a>>> {
+    options.validate()?;
     options
         .by
         .iter()
@@ -722,6 +740,7 @@ fn plain_key_storage<'a>(
     frame: &'a DataFrame,
     options: &SortOptions,
 ) -> Result<Vec<std::borrow::Cow<'a, Column>>> {
+    options.validate()?;
     options
         .by
         .iter()
@@ -778,39 +797,77 @@ pub fn sort_values_par(
     DataFrame::new(cols)
 }
 
-/// Partial top-n: the `n` rows that would head the full stable sort in
-/// `options`' (single-key) direction, in sorted order. Uses
-/// `select_nth_unstable` with an index tie-break — the tie-break makes
-/// the comparator total, so the unstable selection reproduces the stable
-/// sort's prefix exactly.
-fn top_n(frame: &DataFrame, n: usize, column: &str, ascending: bool) -> Result<DataFrame> {
-    let options = SortOptions::single(column, ascending);
+/// `sort_values(options).head(n)` without sorting the whole frame: the
+/// `n` rows that head the stable sort, in sorted order. Nulls and NaN
+/// sort last in either direction and ties keep input order, exactly as
+/// in [`sort_values`]; `n ≥ rows` is the full stable sort. (pandas
+/// `nlargest` drops NaN and takes `keep=`; that is not this contract.)
+///
+/// `select_nth_unstable_by` partitions the row indices under the
+/// multi-key comparator tie-broken by row index. The tie-break makes
+/// the order total, so the unstable selection reproduces the stable
+/// sort's prefix exactly; only the `n` selected rows are then sorted
+/// and gathered.
+pub fn top_k(frame: &DataFrame, options: &SortOptions, n: usize) -> Result<DataFrame> {
     let rows = frame.num_rows();
     if n >= rows {
-        return sort_values(frame, &options);
+        return sort_values(frame, options);
     }
-    let storage = plain_key_storage(frame, &options)?;
-    let keys = keys_from_storage(&storage, &options);
-    let key = &keys[0];
+    let storage = plain_key_storage(frame, options)?;
+    let keys = keys_from_storage(&storage, options);
     if n == 0 {
         return frame.take(&[]);
     }
-    let cmp = |a: &usize, b: &usize| key.cmp_rows(*a, *b).then(a.cmp(b));
+    // One key compares directly, as in `argsort`. The row-index
+    // tie-break makes either comparator total.
+    let idx = match keys.as_slice() {
+        [key] => select_prefix(rows, n, |a: &usize, b: &usize| {
+            key.cmp_rows(*a, *b).then(a.cmp(b))
+        }),
+        keys => select_prefix(rows, n, |a: &usize, b: &usize| {
+            cmp_keys(keys, *a, *b).then(a.cmp(b))
+        }),
+    };
+    frame.take(&idx)
+}
+
+/// [`top_k`] with its full-sort case (`n ≥ rows`) on the pool, through
+/// [`sort_values_par`].
+pub fn top_k_par(
+    frame: &DataFrame,
+    options: &SortOptions,
+    n: usize,
+    pool: &WorkerPool,
+) -> Result<DataFrame> {
+    if n >= frame.num_rows() {
+        sort_values_par(frame, options, pool)
+    } else {
+        top_k(frame, options, n)
+    }
+}
+
+/// The first `n` (`0 < n < rows`) row indices under the total order
+/// `cmp`, in order.
+fn select_prefix(
+    rows: usize,
+    n: usize,
+    cmp: impl Fn(&usize, &usize) -> Ordering + Copy,
+) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..rows).collect();
     idx.select_nth_unstable_by(n - 1, cmp);
     let mut top = idx[..n].to_vec();
     top.sort_unstable_by(cmp);
-    frame.take(&top)
+    top
 }
 
 /// `df.nlargest(n, col)` — top-n by one column, descending.
 pub fn nlargest(frame: &DataFrame, n: usize, column: &str) -> Result<DataFrame> {
-    top_n(frame, n, column, false)
+    top_k(frame, &SortOptions::single(column, false), n)
 }
 
 /// `df.nsmallest(n, col)` — bottom-n by one column, ascending.
 pub fn nsmallest(frame: &DataFrame, n: usize, column: &str) -> Result<DataFrame> {
-    top_n(frame, n, column, true)
+    top_k(frame, &SortOptions::single(column, true), n)
 }
 
 #[cfg(test)]
@@ -950,6 +1007,30 @@ mod tests {
     #[test]
     fn unknown_key_errors() {
         assert!(sort_values(&sample(), &SortOptions::single("ghost", true)).is_err());
+        assert!(top_k(&sample(), &SortOptions::single("ghost", true), 0).is_err());
+    }
+
+    #[test]
+    fn ascending_length_mismatch_is_an_error() {
+        let options = SortOptions {
+            by: vec!["name".into(), "score".into(), "name".into()],
+            ascending: vec![true, false],
+        };
+        let expected = "Length of ascending (2) != length of by (3)";
+        for err in [
+            sort_values(&sample(), &options).unwrap_err(),
+            top_k(&sample(), &options, 1).unwrap_err(),
+            sort_values_par(&sample(), &options, &WorkerPool::new(2)).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains(expected), "{err}");
+        }
+        assert!(FrameSortKeys::resolve(&sample(), &options).is_err());
+        // One flag still broadcasts over every key.
+        let broadcast = SortOptions {
+            by: vec!["name".into(), "score".into()],
+            ascending: vec![false],
+        };
+        assert!(sort_values(&sample(), &broadcast).is_ok());
     }
 
     /// The cross-frame comparator must order any pair of rows exactly as

@@ -6,13 +6,14 @@
 
 use lafp_columnar::column::{ArithOp, CmpOp};
 use lafp_columnar::csv::{quote_field, read_csv, CsvOptions};
+use lafp_columnar::encoding::dict_encode;
 use lafp_columnar::groupby::{group_by, GroupBySpec};
 use lafp_columnar::join::{merge, JoinKind};
-use lafp_columnar::sort::{nlargest, nsmallest, sort_values, SortOptions};
+use lafp_columnar::sort::{nlargest, nsmallest, sort_values, top_k, SortOptions};
 use lafp_columnar::{AggKind, Column, DType, DataFrame, Scalar, Series};
 use lafp_oracle::equiv;
 use lafp_oracle::reference::{
-    arith_ref, cast_ref, compare_ref, fillna_ref, group_by_ref, merge_ref,
+    arith_ref, cast_ref, compare_ref, fillna_ref, force_rle, group_by_ref, merge_ref,
     read_csv_infer_ref as read_csv_ref, slice_ref, sort_values_ref,
 };
 use proptest::prelude::*;
@@ -360,6 +361,66 @@ proptest! {
         assert_frame_equiv(
             &nsmallest(&frame, n_top, "f").unwrap(),
             &sort_values_ref(&frame, &SortOptions::single("f", true)).head(n_top),
+        );
+    }
+
+    /// `top_k` is exactly `sort_values(..).head(n)` for every key dtype
+    /// (NaN, ±0.0 and nulls included, dictionary, categorical and
+    /// run-length keys too), 1–3 keys in mixed directions, heavy ties,
+    /// and `n` on both sides of the row count.
+    #[test]
+    fn top_k_matches_reference(
+        iv in prop::collection::vec(0i64..4, 1..70),
+        fv in prop::collection::vec(0u8..6, 1..70),
+        sv in prop::collection::vec("[ab]{0,1}", 1..70),
+        bv in prop::collection::vec(any::<bool>(), 1..70),
+        nulls in prop::collection::vec(any::<bool>(), 1..70),
+        picks in prop::collection::vec(0usize..8, 1..4),
+        dirs in prop::collection::vec(any::<bool>(), 3..4),
+        n_pick in 0usize..6,
+    ) {
+        let n = iv.len().min(fv.len()).min(sv.len()).min(bv.len()).min(nulls.len());
+        let floats: Vec<Option<f64>> = fv[..n]
+            .iter()
+            .map(|c| [Some(-1.0), Some(-0.0), Some(0.0), Some(2.5), Some(f64::NAN), None][*c as usize])
+            .collect();
+        let strs = col_str(&sv[..n], &nulls[..n]);
+        let bools: Vec<Scalar> = (0..n)
+            .map(|i| if nulls[i] { Scalar::Null } else { Scalar::Bool(bv[i]) })
+            .collect();
+        let names = ["i", "f", "s", "d", "c", "b", "t", "r"];
+        let frame = DataFrame::new(vec![
+            Series::new("i", col_i64(&iv[..n], &nulls[..n])),
+            Series::new("f", Column::from_opt_f64(floats)),
+            Series::new("s", strs.clone()),
+            Series::new("d", dict_encode(&strs).unwrap()),
+            Series::new("c", strs.to_categorical().unwrap()),
+            Series::new("b", Column::from_scalars(DType::Bool, &bools).unwrap()),
+            Series::new(
+                "t",
+                Column::from_opt_datetimes(
+                    (0..n).map(|i| (!nulls[i]).then(|| iv[i] * 86_400)).collect(),
+                ),
+            ),
+            Series::new("r", force_rle(&Column::from_i64(iv[..n].to_vec()))),
+            Series::new("tag", Column::from_i64((0..n as i64).collect())),
+        ])
+        .unwrap();
+        let mut by: Vec<String> = Vec::new();
+        for &k in &picks {
+            if !by.iter().any(|b| b == names[k]) {
+                by.push(names[k].to_string());
+            }
+        }
+        let options = SortOptions {
+            ascending: dirs[..by.len()].to_vec(),
+            by,
+        };
+        let n_top = [0, 1, n.saturating_sub(1), n, n + 7, n / 2][n_pick];
+        // "tag" is a unique row id, so equivalence pins tie order too.
+        assert_frame_equiv(
+            &top_k(&frame, &options, n_top).unwrap(),
+            &sort_values_ref(&frame, &options).head(n_top),
         );
     }
 

@@ -14,7 +14,7 @@ use lafp_columnar::csv::{read_csv, read_csv_par, CsvOptions};
 use lafp_columnar::groupby::{group_by, group_by_par, GroupBySpec};
 use lafp_columnar::join::{merge, merge_par, JoinKind};
 use lafp_columnar::pool::{WorkerPool, PAR_MIN_ROWS};
-use lafp_columnar::sort::{sort_values, sort_values_par, SortOptions};
+use lafp_columnar::sort::{sort_values, sort_values_par, top_k_par, SortOptions};
 use lafp_columnar::{AggKind, DType, DataFrame, Series};
 use proptest::prelude::*;
 use std::io::Write as _;
@@ -245,6 +245,13 @@ fn sort_par_matches_sequential() {
         for t in THREADS {
             let got = sort_values_par(&df, options, &WorkerPool::new(t)).unwrap();
             assert_frame_equiv(&got, &expected, &format!("sort {:?} t={t}", options.by));
+            // top_k_par: the full-sort case on the pool, a prefix otherwise.
+            let rows = df.num_rows();
+            for n in [7, rows, rows + 1] {
+                let got = top_k_par(&df, options, n, &WorkerPool::new(t)).unwrap();
+                let what = format!("top_k_par {:?} n={n} t={t}", options.by);
+                assert_frame_equiv(&got, &expected.head(n), &what);
+            }
         }
     }
 }

@@ -249,6 +249,9 @@ fn eval_eager(ctx: &LaFP, graph: &TaskGraph, id: NodeId) -> Result<Value> {
             Value::Frame(Arc::new(engine.sort_values(&*input_frame(0)?, options)?))
         }
         LogicalOp::Head(n) => Value::Frame(Arc::new(engine.head(&*input_frame(0)?, *n)?)),
+        LogicalOp::TopK { by, n } => {
+            Value::Frame(Arc::new(engine.top_k(&*input_frame(0)?, by, *n)?))
+        }
         LogicalOp::Tail(n) => Value::Frame(Arc::new(engine.tail(&*input_frame(0)?, *n)?)),
         LogicalOp::Describe => Value::Frame(Arc::new(engine.describe(&*input_frame(0)?)?)),
         LogicalOp::Concat => {
@@ -410,6 +413,10 @@ fn translate(
         LogicalOp::Head(n) => {
             let i = translate(ctx, graph, engine, memo, inputs[0])?;
             engine.add(DaskOp::Head(n), vec![i])
+        }
+        LogicalOp::TopK { by, n } => {
+            let i = translate(ctx, graph, engine, memo, inputs[0])?;
+            engine.add(DaskOp::TopK { by, n }, vec![i])
         }
         LogicalOp::Concat => {
             let l = translate(ctx, graph, engine, memo, inputs[0])?;

@@ -65,6 +65,15 @@ pub enum LogicalOp {
     Sort(SortOptions),
     /// `df.head(n)`.
     Head(usize),
+    /// `sort_values(by).head(n)` in one operator: the first `n` rows of
+    /// the stable sort. Never built by the API; the optimizer rewrites
+    /// sort-then-head chains into it.
+    TopK {
+        /// Sort keys and directions.
+        by: SortOptions,
+        /// Rows kept.
+        n: usize,
+    },
     /// `df.tail(n)`.
     Tail(usize),
     /// `df.describe()`.
@@ -135,7 +144,9 @@ impl LogicalOp {
                 Some(s)
             }
             LogicalOp::Reduce { column, .. } => Some([column.clone()].into_iter().collect()),
-            LogicalOp::Sort(opts) => Some(opts.by.iter().cloned().collect()),
+            LogicalOp::Sort(opts) | LogicalOp::TopK { by: opts, .. } => {
+                Some(opts.by.iter().cloned().collect())
+            }
             LogicalOp::Merge { on, .. } => Some(on.iter().cloned().collect()),
             LogicalOp::DropDuplicates(subset) if !subset.is_empty() => {
                 Some(subset.iter().cloned().collect())
@@ -155,6 +166,7 @@ impl LogicalOp {
             | LogicalOp::Sort(_)
             | LogicalOp::DropDuplicates(_)
             | LogicalOp::Head(_)
+            | LogicalOp::TopK { .. }
             | LogicalOp::Tail(_) => Some(BTreeSet::new()),
             // Rename handled specially (substitution), FillNa may modify
             // any column holding nulls, aggregates recompute everything.
@@ -177,7 +189,8 @@ impl LogicalOp {
     /// * `DropDuplicates` — only when the predicate reads key columns
     ///   only (duplicate rows then agree on the predicate), or the subset
     ///   is all columns.
-    /// * `Head`/`Tail` select rows positionally — never pushable.
+    /// * `Head`/`Tail` select rows positionally — never pushable, and
+    ///   neither is `TopK`: which rows survive depends on every row.
     /// * `Merge`, `GroupByAgg`, `Concat`, `FillNa`, `Describe`, scans —
     ///   not pushable (row counts / values change, per the paper).
     pub fn filter_can_push_below(&self, used: &BTreeSet<String>) -> bool {
@@ -291,6 +304,11 @@ impl LogicalOp {
                 h = mix(h, 14);
                 h = mix(h, *n as u64);
             }
+            LogicalOp::TopK { by, n } => {
+                h = mix(h, 20);
+                h = mix_str(h, &format!("{by:?}"));
+                h = mix(h, *n as u64);
+            }
             LogicalOp::Describe => h = mix(h, 15),
             LogicalOp::Concat => h = mix(h, 16),
             LogicalOp::Reduce { column, agg } => {
@@ -342,6 +360,7 @@ impl LogicalOp {
             LogicalOp::Sort(opts) => format!("sort_values {:?}", opts.by),
             LogicalOp::Head(n) => format!("head {n}"),
             LogicalOp::Tail(n) => format!("tail {n}"),
+            LogicalOp::TopK { by, n } => format!("top_k {:?} {n}", by.by),
             LogicalOp::Describe => "describe".into(),
             LogicalOp::Concat => "concat".into(),
             LogicalOp::Reduce { column, agg } => format!("{}({column})", agg.name()),
@@ -389,6 +408,13 @@ mod tests {
         };
         assert!(!merge.filter_can_push_below(&pred("k")));
         assert!(!LogicalOp::Head(5).filter_can_push_below(&pred("x")));
+        let top = LogicalOp::TopK {
+            by: SortOptions::single("x", false),
+            n: 3,
+        };
+        assert!(!top.filter_can_push_below(&pred("x")));
+        assert_eq!(top.used_attrs(), Some(pred("x")));
+        assert_eq!(top.label(), r#"top_k ["x"] 3"#);
         assert!(!LogicalOp::FillNa(Scalar::Int(0)).filter_can_push_below(&pred("x")));
     }
 

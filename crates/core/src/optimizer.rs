@@ -6,7 +6,10 @@
 //!    unified so sharing is visible to the later passes.
 //! 2. **Predicate pushdown** (§3.2) — filters move toward sources past
 //!    safe points, including the two multi-parent rules.
-//! 3. **Persist marking** (§3.5) — nodes shared between the computed roots
+//! 3. **Top-k** (always on) — `head(n)` over a sort, reached through
+//!    single-consumer projections, reads a cloned chain over a new
+//!    [`LogicalOp::TopK`] instead; the sort itself is left in place.
+//! 4. **Persist marking** (§3.5) — nodes shared between the computed roots
 //!    and still-live dataframes are marked `persist` so forced computation
 //!    doesn't recompute them later.
 //!
@@ -60,6 +63,7 @@ pub fn optimize(
     if flags.predicate_pushdown {
         pushdown_predicates(graph, &roots);
     }
+    rewrite_top_k(graph, &roots, live);
     if flags.common_reuse {
         mark_persists(graph, &roots, live);
     }
@@ -253,7 +257,70 @@ fn pushdown_step(graph: &mut TaskGraph, roots: &[NodeId]) -> bool {
     false
 }
 
-/// Pass 3: mark for persistence the *maximal* nodes shared between the
+/// Pass 3: sort-then-head is a top-k.
+///
+/// Matches `Head(n)` ← (`Select` | `DropColumns` | `Rename` |
+/// `WithColumn`)* ← `Sort`, where every link and the sort have exactly
+/// one consumer in the whole graph and none is persisted, materialized
+/// or `live`. Those links are row-local, so they commute with keeping
+/// the first `n` sorted rows. A live sort or link is left alone: the
+/// persist pass then keeps the full sort for its later readers instead
+/// of sorting twice. The rewrite **clones rather than mutates**: a new
+/// `TopK` reads the sort's input, the links are cloned on top of it,
+/// and only the head's input is repointed. The original sort and links
+/// stay intact, so a later statement that reads them (`top.tail(3)`)
+/// still sees the full sort even when `live` missed it. A rewritten
+/// head no longer reaches a `Sort`, so re-running the pass is a no-op.
+pub fn rewrite_top_k(graph: &mut TaskGraph, roots: &[NodeId], live: &[NodeId]) {
+    let mut heads: Vec<NodeId> = graph
+        .reachable(roots)
+        .into_iter()
+        .filter(|&id| {
+            matches!(graph.node(id).op, LogicalOp::Head(_)) && graph.node(id).result.is_none()
+        })
+        .collect();
+    heads.sort();
+    for head in heads {
+        let LogicalOp::Head(n) = graph.node(head).op else {
+            continue;
+        };
+        let mut links = Vec::new();
+        let mut cur = graph.node(head).inputs[0];
+        let by = loop {
+            let node = graph.node(cur);
+            if node.persist
+                || node.result.is_some()
+                || live.contains(&cur)
+                || graph.parents_of(cur).len() != 1
+            {
+                break None;
+            }
+            match &node.op {
+                LogicalOp::Select(_)
+                | LogicalOp::DropColumns(_)
+                | LogicalOp::Rename(_)
+                | LogicalOp::WithColumn(..) => {
+                    links.push(cur);
+                    cur = node.inputs[0];
+                }
+                LogicalOp::Sort(options) => break Some(options.clone()),
+                _ => break None,
+            }
+        };
+        let Some(by) = by else {
+            continue;
+        };
+        let source = graph.node(cur).inputs[0];
+        let mut top = graph.add(LogicalOp::TopK { by, n }, vec![source]);
+        for &link in links.iter().rev() {
+            let op = graph.node(link).op.clone();
+            top = graph.add(op, vec![top]);
+        }
+        graph.node_mut(head).inputs = vec![top];
+    }
+}
+
+/// Pass 4: mark for persistence the *maximal* nodes shared between the
 /// computed roots and the live dataframes (§3.5): a shared node none of
 /// whose consumers (within the computed subgraph) is itself shared.
 pub fn mark_persists(graph: &mut TaskGraph, roots: &[NodeId], live: &[NodeId]) {
@@ -493,6 +560,133 @@ mod tests {
         mark_persists(&mut g, &[red], &[red]);
         assert!(!g.node(red).persist, "scalar node not persisted");
         assert!(g.node(r).persist, "its frame input is the shared frame");
+    }
+
+    /// read <- sort <- select <- head(n): the fixture of the top-k tests.
+    fn sort_select_head(g: &mut TaskGraph, n: usize) -> (NodeId, NodeId, NodeId) {
+        let r = g.add(read(), vec![]);
+        let sort = g.add(
+            LogicalOp::Sort(lafp_columnar::sort::SortOptions::single("x", false)),
+            vec![r],
+        );
+        let sel = g.add(LogicalOp::Select(vec!["x".into(), "y".into()]), vec![sort]);
+        let head = g.add(LogicalOp::Head(n), vec![sel]);
+        (sort, sel, head)
+    }
+
+    #[test]
+    fn top_k_rewrite_clones_the_chain() {
+        let mut g = TaskGraph::new();
+        let (sort, sel, head) = sort_select_head(&mut g, 10);
+        let r = g.node(sort).inputs[0];
+        rewrite_top_k(&mut g, &[head], &[]);
+        let plan = g.explain(&[head]);
+        assert!(plan.contains(r#"top_k ["x"] 10"#), "{plan}");
+        assert!(!plan.contains("sort_values"), "{plan}");
+        // Head reads a clone of the projection over a new TopK node.
+        let clone = g.node(head).inputs[0];
+        assert_ne!(clone, sel);
+        assert!(matches!(g.node(clone).op, LogicalOp::Select(_)));
+        let top = g.node(clone).inputs[0];
+        assert!(matches!(g.node(top).op, LogicalOp::TopK { n: 10, .. }));
+        assert_eq!(g.node(top).inputs, vec![r]);
+        // The originals are untouched for later readers.
+        assert!(matches!(g.node(sort).op, LogicalOp::Sort(_)));
+        assert_eq!(g.node(sel).inputs, vec![sort]);
+        // Idempotent: the rewritten head no longer reaches a sort.
+        let nodes = g.len();
+        rewrite_top_k(&mut g, &[head], &[]);
+        assert_eq!(g.len(), nodes);
+    }
+
+    #[test]
+    fn top_k_rewrite_walks_every_projection_kind() {
+        let mut g = TaskGraph::new();
+        let r = g.add(read(), vec![]);
+        let mut cur = g.add(
+            LogicalOp::Sort(lafp_columnar::sort::SortOptions::single("x", true)),
+            vec![r],
+        );
+        for op in [
+            LogicalOp::WithColumn("d".into(), Expr::col("x")),
+            LogicalOp::Rename(vec![("d".into(), "e".into())]),
+            LogicalOp::DropColumns(vec!["y".into()]),
+            LogicalOp::Select(vec!["e".into()]),
+        ] {
+            cur = g.add(op, vec![cur]);
+        }
+        let head = g.add(LogicalOp::Head(3), vec![cur]);
+        optimize(&mut g, &[head], &[], OptimizerFlags::default());
+        let plan = g.explain(&[head]);
+        assert!(plan.contains("top_k"), "{plan}");
+        assert!(!plan.contains("sort_values"), "{plan}");
+        for label in ["set_item d", "rename", "drop", "get_item"] {
+            assert!(plan.contains(label), "{label} cloned: {plan}");
+        }
+    }
+
+    #[test]
+    fn top_k_rewrite_needs_a_private_chain() {
+        // The sort has a second consumer.
+        let mut g = TaskGraph::new();
+        let (sort, _, head) = sort_select_head(&mut g, 5);
+        let len = g.add(LogicalOp::Len, vec![sort]);
+        rewrite_top_k(&mut g, &[head, len], &[]);
+        assert!(!g.explain(&[head]).contains("top_k"));
+
+        // A projection link has a second consumer.
+        let mut g = TaskGraph::new();
+        let (_, sel, head) = sort_select_head(&mut g, 5);
+        let tail = g.add(LogicalOp::Tail(2), vec![sel]);
+        rewrite_top_k(&mut g, &[head, tail], &[]);
+        assert!(!g.explain(&[head]).contains("top_k"));
+
+        // The sort is persisted.
+        let mut g = TaskGraph::new();
+        let (sort, _, head) = sort_select_head(&mut g, 5);
+        g.node_mut(sort).persist = true;
+        rewrite_top_k(&mut g, &[head], &[]);
+        assert!(!g.explain(&[head]).contains("top_k"));
+
+        // The sort or a link stays live: the full sort is persisted for
+        // its later readers instead.
+        for pick_live in [0, 1] {
+            let mut g = TaskGraph::new();
+            let (sort, sel, head) = sort_select_head(&mut g, 5);
+            let live = [sort, sel][pick_live];
+            optimize(&mut g, &[head], &[live], OptimizerFlags::default());
+            assert!(!g.explain(&[head]).contains("top_k"));
+            assert!(g.node(live).persist, "the live frame is kept");
+        }
+    }
+
+    #[test]
+    fn top_k_rewrite_stops_at_row_changing_ops() {
+        let sort_opts = || lafp_columnar::sort::SortOptions::single("x", true);
+        let between = [
+            filt("x"),
+            LogicalOp::GroupByAgg(GroupBySpec {
+                keys: vec!["x".into()],
+                value: "y".into(),
+                agg: AggKind::Sum,
+            }),
+        ];
+        for op in between {
+            let mut g = TaskGraph::new();
+            let r = g.add(read(), vec![]);
+            let sort = g.add(LogicalOp::Sort(sort_opts()), vec![r]);
+            let mid = g.add(op, vec![sort]);
+            let head = g.add(LogicalOp::Head(4), vec![mid]);
+            rewrite_top_k(&mut g, &[head], &[]);
+            assert!(!g.explain(&[head]).contains("top_k"));
+        }
+        // tail(n) of a sort is not a top-k.
+        let mut g = TaskGraph::new();
+        let r = g.add(read(), vec![]);
+        let sort = g.add(LogicalOp::Sort(sort_opts()), vec![r]);
+        let tail = g.add(LogicalOp::Tail(4), vec![sort]);
+        optimize(&mut g, &[tail], &[], OptimizerFlags::default());
+        assert!(!g.explain(&[tail]).contains("top_k"));
     }
 
     #[test]

@@ -807,18 +807,23 @@ impl Interp {
                         .kwarg_string_list(kwargs, "by")?
                         .ok_or_else(|| err("sort_values requires by"))?,
                 };
+                // A bool applies to every key; a list gives one flag per
+                // key (the kernel rejects a length mismatch, as pandas).
                 let ascending = match kwargs.iter().find(|(k, _)| k == "ascending") {
                     Some((_, v)) => match self.eval(v)? {
-                        PyValue::Scalar(Scalar::Bool(b)) => b,
+                        PyValue::Scalar(Scalar::Bool(b)) => vec![b; by.len()],
+                        PyValue::List(items) => items
+                            .into_iter()
+                            .map(|item| match item {
+                                PyValue::Scalar(Scalar::Bool(b)) => Ok(b),
+                                other => Err(err(&format!("bad ascending entry {other:?}"))),
+                            })
+                            .collect::<Result<Vec<bool>>>()?,
                         other => return Err(err(&format!("bad ascending {other:?}"))),
                     },
-                    None => true,
+                    None => vec![true; by.len()],
                 };
-                let n = by.len();
-                let options = SortOptions {
-                    by,
-                    ascending: vec![ascending; n],
-                };
+                let options = SortOptions { by, ascending };
                 Ok(PyValue::Frame(self.f_sort(&frame, options)?))
             }
             "drop_duplicates" => {

@@ -20,7 +20,7 @@ use lafp_columnar::csv::{read_csv_par, CsvOptions};
 use lafp_columnar::encoding::dict_encode;
 use lafp_columnar::groupby::group_by_par;
 use lafp_columnar::join::merge_par;
-use lafp_columnar::sort::{nlargest, nsmallest, sort_values_par};
+use lafp_columnar::sort::{nlargest, nsmallest, sort_values_par, top_k};
 use lafp_columnar::spill::{spill_frame, SpillDir};
 use lafp_columnar::{
     AggKind, Column, DType, DataFrame, GroupBySpec, JoinKind, Result as ColResult, Scalar, Series,
@@ -266,6 +266,14 @@ pub enum ROp {
         /// `nlargest` when true.
         largest: bool,
     },
+    /// `sort_values(by).head(n)` as one top-k: 1–3 keys with mixed
+    /// directions, `n` up to past the row count.
+    TopK {
+        /// Sort keys, each with its ascending flag.
+        by: Vec<(String, bool)>,
+        /// Row count.
+        n: usize,
+    },
     /// n-way self-concat: append 1–5 `(offset, len)` row ranges of the
     /// frame itself (up to 64 rows each, empty ranges included) in one
     /// assembly.
@@ -509,6 +517,22 @@ fn resolve(
             None => ROp::Skip,
         },
         12 => ROp::Decode,
+        13 => {
+            let mut by: Vec<(String, bool)> = Vec::new();
+            for k in 0..1 + raw.b as usize % 3 {
+                let Some((name, _)) = pick(&schema, raw.a.wrapping_add(37 * k as u8), |_| true)
+                else {
+                    return ROp::Skip;
+                };
+                if by.iter().all(|(b, _)| b != name) {
+                    by.push((name.clone(), (raw.b >> (2 + k)) & 1 == 0));
+                }
+            }
+            ROp::TopK {
+                by,
+                n: raw.c as usize * (cur.num_rows() + 8) / 255,
+            }
+        }
         _ => ROp::Head {
             n: (raw.a as usize).wrapping_mul(7) % 65,
         },
@@ -564,6 +588,13 @@ fn slice_frame_ref(frame: &DataFrame, offset: usize, len: usize) -> DataFrame {
     .expect("reference slice is well-formed")
 }
 
+fn top_k_options(by: &[(String, bool)]) -> SortOptions {
+    SortOptions {
+        by: by.iter().map(|(name, _)| name.clone()).collect(),
+        ascending: by.iter().map(|&(_, asc)| asc).collect(),
+    }
+}
+
 fn oracle_apply(cur: &DataFrame, aux: &DataFrame, rop: &ROp) -> DataFrame {
     match rop {
         ROp::Filter { col, cmp, lit } => {
@@ -595,6 +626,9 @@ fn oracle_apply(cur: &DataFrame, aux: &DataFrame, rop: &ROp) -> DataFrame {
             } else {
                 oracle::nsmallest_ref(cur, *n, col)
             }
+        }
+        ROp::TopK { by, n } => {
+            slice_frame_ref(&oracle::sort_values_ref(cur, &top_k_options(by)), 0, *n)
         }
         ROp::Concat { slices } => slices.iter().fold(cur.clone(), |acc, &(offset, len)| {
             oracle::concat_ref(&acc, &slice_frame_ref(cur, offset, len))
@@ -749,6 +783,7 @@ fn engine_apply(
                 nsmallest(cur, *n, col)
             }
         }
+        ROp::TopK { by, n } => top_k(cur, &top_k_options(by), *n),
         ROp::Concat { slices } => {
             let tails: Vec<DataFrame> = slices
                 .iter()
@@ -866,6 +901,10 @@ fn dask_nodes(rop: &ROp) -> Option<Vec<DaskOp>> {
             DaskOp::Sort(SortOptions::single(col.clone(), !largest)),
             DaskOp::Head(*n),
         ],
+        ROp::TopK { by, n } => vec![DaskOp::TopK {
+            by: top_k_options(by),
+            n: *n,
+        }],
         ROp::Head { n } => vec![DaskOp::Head(*n)],
         ROp::Skip => vec![],
         _ => return None,

@@ -4,7 +4,7 @@
 //! null densities, cardinalities, encodings, row counts up to and past
 //! the 64 Ki morsel seam, optionally routed through a CSV file) plus a
 //! sequence of ops over the op alphabet (filter, arith, compare,
-//! fillna, groupby, join, sort, top-n, concat, slice, spill
+//! fillna, groupby, join, sort, top-n, multi-key top-k, concat, slice, spill
 //! round-trip, encode, decode, head). Every byte string decodes to a
 //! valid trace; [`gen::seeded_case_bytes`] produces the canonical
 //! random ones.

@@ -24,7 +24,7 @@ pub const MAX_OPS: usize = 12;
 pub const GROWTH_CAP: usize = 1 << 18;
 
 /// Number of distinct opcodes in the alphabet.
-pub const NUM_OPCODES: u8 = 14;
+pub const NUM_OPCODES: u8 = 15;
 
 /// Logical column dtypes the generator can plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

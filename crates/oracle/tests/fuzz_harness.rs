@@ -183,3 +183,25 @@ fn fault_and_budget_configs_accept_structured_errors() {
         );
     }
 }
+
+/// The alphabet reaches the top-k op in its interesting shapes: more
+/// than one key, mixed directions, and `n` at or past the row count.
+#[test]
+fn seeded_traces_exercise_top_k() {
+    let (mut multi_key, mut mixed, mut past_rows) = (0, 0, 0);
+    for case in 0..30 {
+        let t = trace::decode(&gen::seeded_case_bytes(42, case));
+        let run = fuzz::exec::run_oracle(&t);
+        for (k, rop) in run.rops.iter().enumerate() {
+            if let fuzz::exec::ROp::TopK { by, n } = rop {
+                multi_key += usize::from(by.len() > 1);
+                mixed += usize::from(by.iter().any(|b| b.1) && by.iter().any(|b| !b.1));
+                past_rows += usize::from(*n >= run.states[k].num_rows());
+            }
+        }
+    }
+    assert!(
+        multi_key > 0 && mixed > 0 && past_rows > 0,
+        "multi-key {multi_key}, mixed {mixed}, n >= rows {past_rows}"
+    );
+}

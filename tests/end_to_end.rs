@@ -3,7 +3,7 @@
 //! real benchmark programs and datasets.
 
 use lafp_bench::datagen::{compute_all_metadata, ensure_datasets, Size};
-use lafp_bench::programs::{all, program};
+use lafp_bench::programs::{all, program, Program};
 use lafp_bench::runner::{run_cell, Config, RunKnobs};
 use std::path::PathBuf;
 
@@ -124,6 +124,62 @@ fn emp_ooms_under_budget_on_every_config_at_large_ratio() {
         assert!(
             !r.ok,
             "{} should OOM on emp at 12.6GB (got ok)",
+            config.label()
+        );
+    }
+}
+
+/// A multi-key, mixed-direction sort → projection → head: the top-k
+/// rewrite fires under LPandas, LModin and LDask, and every
+/// configuration must still print what Pandas prints.
+#[test]
+fn mixed_direction_sort_head_matches_pandas_on_every_config() {
+    let dir = data();
+    let p = Program {
+        name: "zip_mixed_top_k",
+        source: "\
+import lazyfatpandas.pandas as pd
+pd.analyze()
+df = pd.read_csv('zip.csv')
+df['density'] = df.population / df.land_area
+top = df.sort_values(['state', 'households', 'median_income'], ascending=[False, True, False])
+report = top[['zip', 'state', 'households', 'density']]
+print(report.head(10))
+",
+        order_sensitive: false,
+    };
+    let baseline = run_cell(&p, Config::Pandas, &dir, &unlimited());
+    assert!(baseline.ok, "pandas: {:?}", baseline.error);
+    for config in [Config::LPandas, Config::Modin, Config::LModin, Config::Dask, Config::LDask] {
+        let r = run_cell(&p, config, &dir, &unlimited());
+        assert!(r.ok, "{}: {:?}", config.label(), r.error);
+        assert_eq!(
+            (r.output_hash, r.outputs),
+            (baseline.output_hash, baseline.outputs),
+            "{} diverges from Pandas",
+            config.label()
+        );
+    }
+
+    // A flag list of the wrong length is pandas' structured error on
+    // every configuration, not a silent broadcast.
+    let bad = Program {
+        name: "zip_bad_ascending",
+        source: "\
+import lazyfatpandas.pandas as pd
+pd.analyze()
+df = pd.read_csv('zip.csv')
+top = df.sort_values(['state', 'households', 'zip'], ascending=[True, False])
+print(top.head(3))
+",
+        order_sensitive: false,
+    };
+    for config in Config::ALL {
+        let r = run_cell(&bad, config, &dir, &unlimited());
+        let error = r.error.unwrap_or_default();
+        assert!(
+            error.contains("Length of ascending (2) != length of by (3)"),
+            "{}: {error:?}",
             config.label()
         );
     }
