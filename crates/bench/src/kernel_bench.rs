@@ -1452,9 +1452,9 @@ pub fn run_encoding_suite(rows: usize, iters: usize) -> Vec<EncodingBenchResult>
 /// of [`Column::concat`] over `rows` rows split into 8192-row parts (the
 /// Dask engine's default partition size), for an i64 column with nulls,
 /// a mixed-width string column, per-part `Dict` columns (distinct
-/// dictionaries, as the chunked CSV scan produces) and a `Categorical`
-/// column. Each pair is checked for equality (structural for the
-/// encoded kinds) before timing.
+/// dictionaries, as the chunked CSV scan produces) and a category
+/// column (parts sharing one dictionary). Each pair is checked for
+/// equality (structural for the dictionary kinds) before timing.
 pub fn run_concat_suite(rows: usize, iters: usize) -> Vec<ConcatBenchResult> {
     use lafp_columnar::encoding::dict_encode;
 
@@ -1504,7 +1504,7 @@ pub fn run_concat_suite(rows: usize, iters: usize) -> Vec<ConcatBenchResult> {
         let nway = Column::concat_many(&refs).unwrap();
         let pairwise = fold(&parts);
         assert_col_equiv(&nway, &pairwise, name);
-        if nway.is_encoded() || nway.dtype() == DType::Categorical {
+        if matches!(nway, Column::Dict(..)) {
             assert_eq!(
                 nway, pairwise,
                 "{name}: n-way layout diverges from the fold"

@@ -55,15 +55,35 @@ impl IndexLike for u32 {
     }
 }
 
-/// Dictionary-encoded string column payload (pandas `category`).
+/// The payload of a [`Column::Dict`]: `u32` codes into a deduplicated
+/// string dictionary, plus the column's logical dtype. One layout serves
+/// both the transparent ingest encoding (`category == false`, a string
+/// column that happens to be compressed) and pandas `category`
+/// (`category == true`); filter / take / slice / concat carry the flag
+/// with the dictionary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Categorical {
     /// Per-row indexes into `dict`.
     pub codes: Vec<u32>,
-    /// The (deduplicated) category values — stored in the same
+    /// The (deduplicated) dictionary entries — stored in the same
     /// arena-backed layout as plain `Utf8` columns and shared across
-    /// derived columns.
+    /// derived columns. Entry order is not observable: sort, group-by
+    /// and join all compare entry bytes.
     pub dict: Arc<Utf8Col>,
+    /// True when the column's dtype is [`DType::Categorical`]; false for
+    /// the transparent encoding, whose dtype is [`DType::Utf8`].
+    pub category: bool,
+}
+
+impl Categorical {
+    /// New codes over this payload's dictionary and flag.
+    fn with_codes(&self, codes: Vec<u32>) -> Categorical {
+        Categorical {
+            codes,
+            dict: Arc::clone(&self.dict),
+            category: self.category,
+        }
+    }
 }
 
 /// Run-length-encoded column payload: `values` holds one row per
@@ -124,12 +144,14 @@ impl RleCol {
 /// `validity == None` means "no nulls". For `Float64`, `NaN` additionally
 /// counts as null, matching pandas.
 ///
-/// Two variants are *encodings*, not dtypes: [`Column::Dict`] reports
-/// [`DType::Utf8`] and [`Column::Rle`] reports its run values' dtype, so
-/// the planner and schema layers never see them. Kernels either run on
-/// the encoded form directly (the fast paths) or fall back through
-/// [`Column::decode`]. Equality is *logical* across encodings: a `Dict`
-/// column equals the `Utf8` column it decodes to.
+/// [`Column::Rle`] is an *encoding*, not a dtype: it reports its run
+/// values' dtype. [`Column::Dict`] is one dictionary layout whose
+/// payload flag picks the dtype: the transparent encoding reports
+/// [`DType::Utf8`], a category column [`DType::Categorical`]. The
+/// planner and schema layers see only dtypes. Kernels either run on the
+/// dictionary or runs directly (the fast paths) or fall back through
+/// [`Column::decode`]. Equality is *logical* across encodings: a
+/// transparent `Dict` column equals the `Utf8` column it decodes to.
 ///
 /// ```
 /// use lafp_columnar::{Column, Scalar};
@@ -153,13 +175,13 @@ pub enum Column {
     Utf8(Utf8Col, Option<Bitmap>),
     /// Epoch-second timestamps.
     Datetime(Vec<i64>, Option<Bitmap>),
-    /// Dictionary-encoded strings (codes into an arena-backed dict).
-    Categorical(Categorical, Option<Bitmap>),
-    /// Dictionary-*encoded* strings: same payload as `Categorical`, but
-    /// transparent — `dtype()` reports `Utf8`, so every consumer treats
-    /// it as a string column that happens to be compressed. Null rows'
-    /// codes point at an interned `""` entry so `decode()` reproduces
-    /// the normalized null-slot sentinel.
+    /// Dictionary strings: codes into an arena-backed dictionary. With
+    /// `category` unset the column is transparent — `dtype()` reports
+    /// `Utf8`, `decode()` gathers it into a plain `Utf8` column, and
+    /// null rows' codes point at an interned `""` entry so the decode
+    /// reproduces the normalized null-slot sentinel. With `category` set
+    /// it is pandas `category`: `dtype()` reports `Categorical`, and
+    /// `decode()` leaves it as it is.
     Dict(Categorical, Option<Bitmap>),
     /// Run-length-encoded scalar lanes (see [`RleCol`]); `dtype()`
     /// reports the run values' dtype.
@@ -178,7 +200,6 @@ impl PartialEq for Column {
             (Column::Bool(a, va), Column::Bool(b, vb)) => a == b && va == vb,
             (Column::Utf8(a, va), Column::Utf8(b, vb)) => a == b && va == vb,
             (Column::Datetime(a, va), Column::Datetime(b, vb)) => a == b && va == vb,
-            (Column::Categorical(a, va), Column::Categorical(b, vb)) => a == b && va == vb,
             (Column::Dict(a, va), Column::Dict(b, vb)) => a == b && va == vb,
             (Column::Dict(..) | Column::Rle(..), _) | (_, Column::Dict(..) | Column::Rle(..)) => {
                 logical_eq(self, other)
@@ -385,7 +406,7 @@ impl Column {
             Column::Bool(v, _) => v.len(),
             Column::Utf8(v, _) => v.len(),
             Column::Datetime(v, _) => v.len(),
-            Column::Categorical(c, _) | Column::Dict(c, _) => c.codes.len(),
+            Column::Dict(c, _) => c.codes.len(),
             Column::Rle(r) => r.len(),
         }
     }
@@ -395,24 +416,31 @@ impl Column {
         self.len() == 0
     }
 
-    /// The column's dtype. Encodings are transparent: `Dict` is a
-    /// string column, `Rle` has its run values' dtype.
+    /// The column's dtype. Encodings are transparent: a `Dict` is a
+    /// string column unless its payload is flagged `category`, and `Rle`
+    /// has its run values' dtype.
     pub fn dtype(&self) -> DType {
         match self {
             Column::Int64(..) => DType::Int64,
             Column::Float64(..) => DType::Float64,
             Column::Bool(..) => DType::Bool,
-            Column::Utf8(..) | Column::Dict(..) => DType::Utf8,
+            Column::Utf8(..) => DType::Utf8,
             Column::Datetime(..) => DType::Datetime,
-            Column::Categorical(..) => DType::Categorical,
+            Column::Dict(c, _) if c.category => DType::Categorical,
+            Column::Dict(..) => DType::Utf8,
             Column::Rle(r) => r.values.dtype(),
         }
     }
 
-    /// True when the column is stored in an encoded representation
-    /// ([`Column::Dict`] or [`Column::Rle`]).
+    /// True when the column is stored in a transparent encoding: a
+    /// [`Column::Dict`] that is not a category, or a [`Column::Rle`].
+    /// A category column is its dtype's own layout, not an encoding.
     pub fn is_encoded(&self) -> bool {
-        matches!(self, Column::Dict(..) | Column::Rle(..))
+        match self {
+            Column::Dict(c, _) => !c.category,
+            Column::Rle(_) => true,
+            _ => false,
+        }
     }
 
     /// Validity mask, if any. `Rle` columns keep nulls at run
@@ -426,7 +454,6 @@ impl Column {
             | Column::Bool(_, v)
             | Column::Utf8(_, v)
             | Column::Datetime(_, v)
-            | Column::Categorical(_, v)
             | Column::Dict(_, v) => v.as_ref(),
             Column::Rle(_) => None,
         }
@@ -490,9 +517,7 @@ impl Column {
             Column::Bool(v, _) => Scalar::Bool(v.get(i)),
             Column::Utf8(v, _) => Scalar::Str(v.get(i).to_string()),
             Column::Datetime(v, _) => Scalar::Datetime(v[i]),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                Scalar::Str(c.dict.get(c.codes[i] as usize).to_string())
-            }
+            Column::Dict(c, _) => Scalar::Str(c.dict.get(c.codes[i] as usize).to_string()),
             Column::Rle(r) => r.values.get(r.run_of(i)),
         }
     }
@@ -500,14 +525,15 @@ impl Column {
     // -- encodings -------------------------------------------------------
 
     /// Materialize an encoded column into its plain representation:
-    /// `Dict` gathers dictionary bytes into a fresh arena, `Rle` expands
-    /// runs into full lanes. Plain columns clone. This is the explicit,
-    /// caller-requested decode — kernels that bail out of an encoded
+    /// a transparent `Dict` gathers dictionary bytes into a fresh arena,
+    /// `Rle` expands runs into full lanes. Plain and category columns
+    /// clone, so a category never silently becomes `Utf8`. This is the
+    /// explicit, caller-requested decode — kernels that bail out of an encoded
     /// fast path go through the crate-internal `Column::decoded` instead,
     /// which also bumps the decode-fallback counter.
     pub fn decode(&self) -> Column {
         match self {
-            Column::Dict(c, validity) => {
+            Column::Dict(c, validity) if !c.category => {
                 Column::Utf8(c.dict.gather(&c.codes), validity.clone())
             }
             Column::Rle(r) => {
@@ -603,17 +629,10 @@ impl Column {
                 mask.for_each_set_run(|s, l| out.extend_from_slice(&data[s..s + l]));
                 Column::Datetime(out, validity)
             }
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
+            Column::Dict(c, _) => {
                 let mut codes = Vec::with_capacity(n);
                 mask.for_each_set_run(|s, l| codes.extend_from_slice(&c.codes[s..s + l]));
-                let payload = Categorical {
-                    codes,
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
+                Column::Dict(c.with_codes(codes), validity)
             }
             // Run-aligned compaction: size each surviving run with one
             // popcount per touched mask word, never visiting rows.
@@ -669,16 +688,10 @@ impl Column {
             Column::Datetime(data, _) => {
                 Column::Datetime(indices.iter().map(|&i| data[i.idx()]).collect(), validity)
             }
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                let payload = Categorical {
-                    codes: indices.iter().map(|&i| c.codes[i.idx()]).collect(),
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
-            }
+            Column::Dict(c, _) => Column::Dict(
+                c.with_codes(indices.iter().map(|&i| c.codes[i.idx()]).collect()),
+                validity,
+            ),
             // Random gathers destroy run structure: map each index to
             // its run and gather from the (small) run values column.
             // Output is plain, proportional to the index count.
@@ -709,15 +722,8 @@ impl Column {
             // Zero-copy: the arena is shared, only the offset window moves.
             Column::Utf8(data, _) => Column::Utf8(data.slice(start, n), validity),
             Column::Datetime(data, _) => Column::Datetime(data[start..end].to_vec(), validity),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                let payload = Categorical {
-                    codes: c.codes[start..end].to_vec(),
-                    dict: Arc::clone(&c.dict),
-                };
-                match self {
-                    Column::Dict(..) => Column::Dict(payload, validity),
-                    _ => Column::Categorical(payload, validity),
-                }
+            Column::Dict(c, _) => {
+                Column::Dict(c.with_codes(c.codes[start..end].to_vec()), validity)
             }
             // Clip the run list to the window: O(runs-in-window), with
             // the (small) values column sliced to the same run range.
@@ -753,15 +759,15 @@ impl Column {
     ///
     /// * null slots normalize to the builder sentinels (0 / NaN / `""` /
     ///   false), and the validity mask exists only when some row is null;
-    /// * all-`Dict` parts unify their dictionaries once, in part order —
-    ///   the first dictionary's entries, then each later dictionary's new
-    ///   entries in its own order — and remap codes (parts sharing one
-    ///   `Arc` dictionary only append codes);
+    /// * all-`Dict` parts — transparent or category — unify their
+    ///   dictionaries once, in part order — the first dictionary's
+    ///   entries, then each later dictionary's new entries in its own
+    ///   order — and remap codes (parts sharing one `Arc` dictionary only
+    ///   append codes);
     /// * all-`Rle` parts concatenate their run values and rebase run ends;
     /// * mixed encodings of one dtype decode the encoded parts and take
-    ///   the plain path;
-    /// * `Categorical` re-encodes in first-appearance order over the
-    ///   concatenated rows, null rows interning `""`.
+    ///   the plain path, or the dictionary path when the dtype is
+    ///   category (a decoded category is still a `Dict`).
     ///
     /// A single part is returned as a clone; zero parts are an error.
     pub fn concat_many(parts: &[&Column]) -> Result<Column> {
@@ -796,7 +802,10 @@ impl Column {
             })
             .collect();
         let plain: Vec<&Column> = decoded.iter().map(AsRef::as_ref).collect();
-        Ok(concat_plain(&plain))
+        Ok(match plain[0] {
+            Column::Dict(..) => concat_dicts(&plain),
+            _ => concat_plain(&plain),
+        })
     }
 
     // -- comparison / arithmetic / logic ---------------------------------
@@ -923,9 +932,10 @@ impl Column {
                 }
             })));
         }
-        // Dictionary fast path: evaluate the predicate once per distinct
-        // entry into a verdict table, then answer each row with one code
-        // lookup — O(dict + rows) instead of O(rows) comparisons.
+        // Dictionary fast path (transparent and category alike): evaluate
+        // the predicate once per distinct entry into a verdict table, then
+        // answer each row with one code lookup — O(dict + rows) instead of
+        // O(rows) comparisons.
         if let Column::Dict(c, validity) = self {
             let verdicts: Vec<bool> = (0..c.dict.len())
                 .map(|e| {
@@ -1078,7 +1088,7 @@ impl Column {
                     })
                     .collect(),
             ),
-            Column::Utf8(..) | Column::Categorical(..) | Column::Dict(..) => None,
+            Column::Utf8(..) | Column::Dict(..) => None,
             // Expand the (small) run lanes — same f64 per row as the
             // decoded column, no decode fallback.
             Column::Rle(r) => {
@@ -1216,12 +1226,11 @@ impl Column {
     pub fn fillna(&self, fill: &Scalar) -> Result<Column> {
         // No nulls: nothing to fill. Reproduce the builder's output shape
         // (validity dropped) without touching any row.
-        if !matches!(self, Column::Categorical(..)) && self.count_null() == 0 {
+        if self.count_null() == 0 {
             return Ok(self.with_validity(None));
         }
         let coerced = match cast_scalar(fill, self.dtype()) {
             Some(s) => s,
-            None if matches!(self, Column::Categorical(..)) => Scalar::Null, // builder reports below
             None => {
                 return Err(ColumnarError::ParseError {
                     value: fill.to_string(),
@@ -1265,7 +1274,8 @@ impl Column {
                 }
                 Ok(Column::Utf8(out.finish(), None))
             }
-            // Null fill, or categorical (re-encodes): builder fallback.
+            // Null fill, or a dictionary column (re-encodes): builder
+            // fallback.
             _ => {
                 let mut b = ColumnBuilder::new(self.dtype());
                 for i in 0..self.len() {
@@ -1289,7 +1299,6 @@ impl Column {
             Column::Bool(d, _) => Column::Bool(d.clone(), validity),
             Column::Utf8(d, _) => Column::Utf8(d.clone(), validity),
             Column::Datetime(d, _) => Column::Datetime(d.clone(), validity),
-            Column::Categorical(c, _) => Column::Categorical(c.clone(), validity),
             Column::Dict(c, _) => Column::Dict(c.clone(), validity),
             // Rle keeps nulls at run granularity; attaching a row-level
             // mask forces materialization.
@@ -1418,40 +1427,31 @@ impl Column {
         }
     }
 
-    /// Dictionary-encode a string column: distinct values land in a
-    /// (small) arena-backed dictionary, rows become `u32` codes.
+    /// Convert a string column to pandas `category`: distinct values land
+    /// in a (small) arena-backed dictionary built by
+    /// [`encoding::build_dict`](crate::encoding), rows become `u32` codes.
+    /// A transparent `Dict` keeps its payload and only sets the flag.
     pub fn to_categorical(&self) -> Result<Column> {
         match self {
             Column::Utf8(values, validity) => {
-                let mut dict = Utf8Builder::new();
-                let mut index: std::collections::HashMap<String, u32> =
-                    std::collections::HashMap::new();
-                let mut codes = Vec::with_capacity(values.len());
-                for v in values.iter() {
-                    let code = match index.get(v) {
-                        Some(&c) => c,
-                        None => {
-                            let c = index.len() as u32;
-                            dict.push(v);
-                            index.insert(v.to_string(), c);
-                            c
-                        }
-                    };
-                    codes.push(code);
-                }
-                Ok(Column::Categorical(
+                let (codes, dict) = crate::encoding::build_dict(values, validity.as_ref(), None)
+                    .expect("an uncapped dictionary build always succeeds");
+                Ok(Column::Dict(
                     Categorical {
                         codes,
-                        dict: Arc::new(dict.finish()),
+                        dict: Arc::new(dict),
+                        category: true,
                     },
                     validity.clone(),
                 ))
             }
-            Column::Categorical(..) => Ok(self.clone()),
-            // Already dictionary-encoded: rebadge the same payload.
-            Column::Dict(c, validity) => {
-                Ok(Column::Categorical(c.clone(), validity.clone()))
-            }
+            Column::Dict(c, validity) => Ok(Column::Dict(
+                Categorical {
+                    category: true,
+                    ..c.clone()
+                },
+                validity.clone(),
+            )),
             Column::Rle(_) if self.dtype() == DType::Utf8 => self.decoded().to_categorical(),
             _ => Err(ColumnarError::TypeMismatch {
                 op: "astype(category)".into(),
@@ -1460,24 +1460,15 @@ impl Column {
         }
     }
 
-    /// Decode a categorical back to plain strings (no-op for Utf8).
+    /// Decode a dictionary column (transparent or category) to plain
+    /// strings (no-op for Utf8).
     pub fn to_utf8(&self) -> Result<Column> {
         match self {
-            Column::Categorical(c, validity) => {
-                // Each row copies its dictionary entry's bytes into the
-                // new arena (the dict is the only byte source).
-                let mut out = Utf8Builder::with_capacity(
-                    c.codes.len(),
-                    c.codes.len() * c.dict.avg_row_bytes(),
-                );
-                for &code in &c.codes {
-                    out.push(c.dict.get(code as usize));
-                }
-                Ok(Column::Utf8(out.finish(), validity.clone()))
-            }
             Column::Utf8(..) => Ok(self.clone()),
-            // Dict decode is one run-collapsing gather off the dictionary.
-            Column::Dict(..) => Ok(self.decode()),
+            // One run-collapsing gather off the dictionary.
+            Column::Dict(c, validity) => {
+                Ok(Column::Utf8(c.dict.gather(&c.codes), validity.clone()))
+            }
             Column::Rle(_) if self.dtype() == DType::Utf8 => Ok(self.decode()),
             _ => Err(ColumnarError::TypeMismatch {
                 op: "to_utf8".into(),
@@ -1520,38 +1511,34 @@ impl Column {
 
     /// String accessor (`.str.<op>`).
     pub fn str_op(&self, op: &StrOp) -> Result<Column> {
-        // Dictionary fast path: evaluate the op once per distinct entry
-        // instead of once per row. Case transforms keep the dictionary
-        // encoding (re-deduplicated, since e.g. "A" and "a" collide
-        // after lowering); predicates and lengths expand a per-entry
-        // table through the codes.
+        // Dictionary fast path (transparent and category alike): evaluate
+        // the op once per distinct entry instead of once per row. Case
+        // transforms keep the dictionary layout (re-deduplicated, since
+        // e.g. "A" and "a" collide after lowering) but are logically
+        // `Utf8`, as pandas' `.str` on a category yields `object`;
+        // predicates and lengths expand a per-entry table through the
+        // codes.
         if let Column::Dict(c, validity) = self {
             return Ok(match op {
                 StrOp::Lower | StrOp::Upper => {
-                    let transform = |s: &str| -> String {
-                        if matches!(op, StrOp::Lower) {
-                            s.to_lowercase()
-                        } else {
-                            s.to_uppercase()
-                        }
-                    };
-                    let mut dict = Utf8Builder::with_capacity(c.dict.len(), c.dict.value_bytes());
-                    let mut index: std::collections::HashMap<String, u32> =
-                        std::collections::HashMap::with_capacity(c.dict.len());
-                    let mut remap = Vec::with_capacity(c.dict.len());
-                    for e in 0..c.dict.len() {
-                        let t = transform(c.dict.get(e));
-                        let next = index.len() as u32;
-                        let code = *index.entry(t.clone()).or_insert_with(|| {
-                            dict.push(&t);
-                            next
-                        });
-                        remap.push(code);
-                    }
+                    let transformed: Vec<String> = c
+                        .dict
+                        .iter()
+                        .map(|s| {
+                            if matches!(op, StrOp::Lower) {
+                                s.to_lowercase()
+                            } else {
+                                s.to_uppercase()
+                            }
+                        })
+                        .collect();
+                    let mut interner = Interner::default();
+                    let remap: Vec<u32> = transformed.iter().map(|t| interner.code(t)).collect();
                     Column::Dict(
                         Categorical {
                             codes: c.codes.iter().map(|&code| remap[code as usize]).collect(),
-                            dict: Arc::new(dict.finish()),
+                            dict: interner.finish(),
+                            category: false,
                         },
                         validity.clone(),
                     )
@@ -1586,7 +1573,7 @@ impl Column {
             });
         }
         let utf8 = match self {
-            Column::Utf8(..) | Column::Categorical(..) => self.to_utf8()?,
+            Column::Utf8(..) => self.to_utf8()?,
             Column::Rle(_) if self.dtype() == DType::Utf8 => self.decoded().to_utf8()?,
             _ => {
                 return Err(ColumnarError::TypeMismatch {
@@ -1698,7 +1685,7 @@ impl Column {
                 }
             }
             // Strings have no numeric view: the old loop skipped every row.
-            Column::Utf8(..) | Column::Categorical(..) | Column::Dict(..) => Scalar::Null,
+            Column::Utf8(..) | Column::Dict(..) => Scalar::Null,
             // Integer runs sum exactly as value × width (wrapping
             // multiplication ≡ repeated wrapping addition mod 2⁶⁴).
             // Float/bool/datetime sums accumulate in f64, where addition
@@ -1817,16 +1804,6 @@ impl Column {
                     }
                 }
                 best.map(|s| Scalar::Str(s.to_string())).unwrap_or(Scalar::Null)
-            }
-            Column::Categorical(..) => {
-                // Dictionary decode is cold: scalar fallback.
-                let it = self.iter().filter(|s| !s.is_null());
-                let best = if want_min {
-                    it.min_by(|a, b| a.cmp_values(b))
-                } else {
-                    it.max_by(|a, b| a.cmp_values(b))
-                };
-                best.unwrap_or(Scalar::Null)
             }
             // The extreme over rows is the extreme over *used* dictionary
             // entries: one pass marking used codes, one pass over the
@@ -1969,7 +1946,7 @@ impl Column {
                     mix(j, if valid(m, i) { fnv1a(v.bytes_at(i)) } else { u64::MAX });
                 }
             }
-            Column::Categorical(c, m) | Column::Dict(c, m) => {
+            Column::Dict(c, m) => {
                 // Hash each dictionary entry once, then look codes up.
                 let dict_hashes: Vec<u64> =
                     (0..c.dict.len()).map(|d| fnv1a(c.dict.bytes_at(d))).collect();
@@ -2015,9 +1992,7 @@ impl Column {
             Column::Float64(v, _) => v[i].to_bits(),
             Column::Bool(v, _) => v.get(i) as u64,
             Column::Utf8(v, _) => fnv1a(v.bytes_at(i)),
-            Column::Categorical(c, _) | Column::Dict(c, _) => {
-                fnv1a(c.dict.bytes_at(c.codes[i] as usize))
-            }
+            Column::Dict(c, _) => fnv1a(c.dict.bytes_at(c.codes[i] as usize)),
             Column::Rle(r) => r.values.hash_lane_at(r.run_of(i)),
         }
     }
@@ -2160,12 +2135,12 @@ fn some_if_has_nulls(validity: Bitmap) -> Option<Bitmap> {
 
 // -- n-way concat helpers (see `Column::concat_many`) ---------------------
 
-/// Marks a dictionary entry not yet mapped into the output dictionary.
-const UNMAPPED: u32 = u32::MAX;
-
 /// Output dictionary under construction: distinct strings in the order
-/// they were first interned, borrowed from the input dictionaries until
+/// they were first interned, borrowed from the input dictionaries (or a
+/// `.str` transform's per-entry outputs) until
 /// [`finish`](Interner::finish) copies them into one exactly-sized arena.
+/// The one dictionaries → union routine; rows → dictionary is
+/// `encoding::build_dict`.
 #[derive(Default)]
 struct Interner<'a> {
     index: std::collections::HashMap<&'a str, u32>,
@@ -2322,53 +2297,16 @@ fn concat_plain(parts: &[&Column]) -> Column {
             }
             Column::Utf8(out.finish(), validity)
         }
-        Column::Categorical(..) => concat_categoricals(parts, validity),
-        Column::Dict(..) | Column::Rle(_) => unreachable!("encoded parts are decoded first"),
+        Column::Dict(..) | Column::Rle(_) => {
+            unreachable!("dictionary parts take concat_dicts, run parts are decoded first")
+        }
     }
 }
 
-/// Re-encode categorical parts in first-appearance order over the
-/// stacked rows (null rows intern `""`), through one lazily filled code
-/// remap per input dictionary — no per-row `Scalar` or `String`.
-fn concat_categoricals(parts: &[&Column], validity: Option<Bitmap>) -> Column {
-    let mut interner = Interner::default();
-    let mut codes = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    let mut null_code: Option<u32> = None;
-    let mut remap: Vec<u32> = Vec::new();
-    let mut remap_dict: Option<&Arc<Utf8Col>> = None;
-    for p in parts {
-        let Column::Categorical(c, mask) = p else {
-            unreachable!("concat parts share one plain variant")
-        };
-        if !remap_dict.is_some_and(|d| Arc::ptr_eq(d, &c.dict)) {
-            remap.clear();
-            remap.resize(c.dict.len(), UNMAPPED);
-            remap_dict = Some(&c.dict);
-        }
-        for (i, &code) in c.codes.iter().enumerate() {
-            codes.push(if mask.as_ref().is_some_and(|m| !m.get(i)) {
-                *null_code.get_or_insert_with(|| interner.code(""))
-            } else {
-                let slot = &mut remap[code as usize];
-                if *slot == UNMAPPED {
-                    *slot = interner.code(c.dict.get(code as usize));
-                }
-                *slot
-            });
-        }
-    }
-    Column::Categorical(
-        Categorical {
-            codes,
-            dict: interner.finish(),
-        },
-        validity,
-    )
-}
-
-/// Dict parts: unify the dictionaries once in part order and remap each
-/// part's codes (a part whose remap is the identity copies its codes).
-/// Parts that all share one `Arc` dictionary keep it and append codes.
+/// Dict parts (one dtype, so one `category` flag): unify the
+/// dictionaries once in part order and remap each part's codes (a part
+/// whose remap is the identity copies its codes). Parts that all share
+/// one `Arc` dictionary keep it and append codes.
 fn concat_dicts(parts: &[&Column]) -> Column {
     let nulls: Vec<usize> = parts.iter().map(|p| p.count_null()).collect();
     let validity = concat_validity(parts, &nulls);
@@ -2381,8 +2319,7 @@ fn concat_dicts(parts: &[&Column]) -> Column {
         for p in parts {
             codes.extend_from_slice(&dict_payload(p).codes);
         }
-        let dict = Arc::clone(&first.dict);
-        return Column::Dict(Categorical { codes, dict }, validity);
+        return Column::Dict(first.with_codes(codes), validity);
     }
     let mut interner = Interner::default();
     let mut remap: Vec<u32> = Vec::new();
@@ -2407,6 +2344,7 @@ fn concat_dicts(parts: &[&Column]) -> Column {
         Categorical {
             codes,
             dict: interner.finish(),
+            category: first.category,
         },
         validity,
     )
@@ -2641,7 +2579,7 @@ impl HeapSize for Column {
                 // The dictionary is shared: slices / partitions holding
                 // the same `Arc` must not each charge its full bytes
                 // against a memory budget, so split it across holders.
-                Column::Categorical(c, _) | Column::Dict(c, _) => {
+                Column::Dict(c, _) => {
                     let holders = std::sync::Arc::strong_count(&c.dict).max(1);
                     c.codes.capacity() * 4 + c.dict.heap_size() / holders
                 }

@@ -143,18 +143,26 @@ pub fn reset() {
     global().reset()
 }
 
-/// Build the code vector + dictionary for a string column, aborting as
-/// soon as the distinct count exceeds `cap`. Null rows are interned as
-/// `""` so that `decode()` reproduces the normalized null-slot sentinel
-/// the plain builders use; validity still marks them null.
-fn build_dict(
+/// Build the code vector + dictionary for a string column, entries in
+/// first-appearance order — the one rows → dictionary routine, shared by
+/// the ingest encoders and `Column::to_categorical`. With `Some(cap)` it
+/// aborts (`None`) as soon as the distinct count exceeds `cap`; `None`
+/// builds uncapped and always succeeds. Null rows are interned as `""`
+/// so that `decode()` reproduces the normalized null-slot sentinel the
+/// plain builders use; validity still marks them null.
+pub(crate) fn build_dict(
     values: &Utf8Col,
     validity: Option<&Bitmap>,
-    cap: usize,
+    cap: Option<usize>,
 ) -> Option<(Vec<u32>, Utf8Col)> {
     let rows = values.len();
     let mut codes = Vec::with_capacity(rows);
-    let mut builder = Utf8Builder::with_capacity(cap.min(rows), 0);
+    // Capped builds pre-size for the cap; an uncapped build grows with
+    // the distinct count, so a small dictionary stays small.
+    let mut builder = match cap {
+        Some(cap) => Utf8Builder::with_capacity(cap.min(rows), 0),
+        None => Utf8Builder::new(),
+    };
     // fnv hash of entry bytes -> candidate codes (collision list).
     let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
     // Entry bytes live in `values`' arena for valid rows; remember each
@@ -180,7 +188,7 @@ fn build_dict(
             }
         }
         if code == u32::MAX {
-            if builder.len() >= cap {
+            if cap.is_some_and(|cap| builder.len() >= cap) {
                 return None;
             }
             code = builder.len() as u32;
@@ -205,11 +213,12 @@ pub fn dict_encode(col: &Column) -> Option<Column> {
         Column::Utf8(v, validity) => (v, validity.as_ref()),
         _ => return None,
     };
-    let (codes, dict) = build_dict(values, validity, DICT_MAX_CARDINALITY)?;
+    let (codes, dict) = build_dict(values, validity, Some(DICT_MAX_CARDINALITY))?;
     Some(Column::Dict(
         Categorical {
             codes,
             dict: Arc::new(dict),
+            category: false,
         },
         validity.cloned(),
     ))
@@ -235,7 +244,7 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
         return None;
     }
     let cap = DICT_MAX_CARDINALITY.min(rows / 4);
-    let (codes, dict) = build_dict(values, validity, cap)?;
+    let (codes, dict) = build_dict(values, validity, Some(cap))?;
     let plain_bytes = values.heap_bytes();
     let encoded_bytes = codes.len() * 4 + dict.heap_bytes();
     if encoded_bytes >= plain_bytes {
@@ -246,6 +255,7 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
         Categorical {
             codes,
             dict: Arc::new(dict),
+            category: false,
         },
         validity.cloned(),
     ))
@@ -259,7 +269,7 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
 /// half the rows start a new run). Does not touch the counters; use
 /// [`rle_encode_auto`] for ingest decisions.
 pub fn rle_encode(col: &Column) -> Option<Column> {
-    if matches!(col, Column::Dict(..) | Column::Rle(..)) {
+    if col.is_encoded() {
         return None;
     }
     let rows = col.len();

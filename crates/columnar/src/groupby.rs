@@ -97,7 +97,7 @@ impl<'a> ColView<'a> {
             Column::Bool(d, v) => ColView::Bool(d, v.as_ref()),
             Column::Datetime(d, v) => ColView::Dt(d, v.as_ref()),
             Column::Utf8(d, v) => ColView::Str(d, v.as_ref()),
-            Column::Categorical(c, v) | Column::Dict(c, v) => ColView::Cat(c, v.as_ref()),
+            Column::Dict(c, v) => ColView::Cat(c, v.as_ref()),
             // `update_inner` expands run-length values before building a
             // view; a borrowed view cannot own the expansion.
             Column::Rle(_) => unreachable!("RLE values are decoded before view construction"),
@@ -723,9 +723,7 @@ impl KeyCol {
                 } else {
                     match col {
                         Column::Utf8(d, _) => d.get(i),
-                        Column::Categorical(c, _) | Column::Dict(c, _) => {
-                            c.dict.get(c.codes[i] as usize)
-                        }
+                        Column::Dict(c, _) => c.dict.get(c.codes[i] as usize),
                         _ => return false,
                     }
                 };
@@ -772,9 +770,7 @@ impl KeyCol {
                 } else {
                     match col {
                         Column::Utf8(d, _) => d.get(i),
-                        Column::Categorical(c, _) | Column::Dict(c, _) => {
-                            c.dict.get(c.codes[i] as usize)
-                        }
+                        Column::Dict(c, _) => c.dict.get(c.codes[i] as usize),
                         _ => "",
                     }
                 };
@@ -1050,7 +1046,7 @@ fn mix_key_hashes(store: &KeyCol, col: &Column, offset: usize, hashes: &mut [u64
                         mix(j, v);
                     }
                 }
-                Column::Categorical(c, _) | Column::Dict(c, _) => {
+                Column::Dict(c, _) => {
                     let dict_hashes: Vec<u64> =
                         (0..c.dict.len()).map(|d| fnv1a(c.dict.bytes_at(d))).collect();
                     for (j, &code) in c.codes[offset..offset + len].iter().enumerate() {
@@ -1486,7 +1482,7 @@ const DENSE_MAX_DICT: usize = 65_536;
 /// dictionary, not the rows) because `Categorical`'s fields are public.
 fn dense_key(col: &Column) -> Option<&crate::column::Categorical> {
     let c = match col {
-        Column::Categorical(c, None) | Column::Dict(c, None) => c,
+        Column::Dict(c, None) => c,
         _ => return None,
     };
     if c.dict.len() > DENSE_MAX_DICT {

@@ -231,7 +231,7 @@ impl<'a> KeyView<'a> {
             Column::Float64(d, v) => KeyView::Float(d, v.as_ref()),
             Column::Bool(d, v) => KeyView::Bool(d, v.as_ref()),
             Column::Utf8(d, v) => KeyView::Utf8(d, v.as_ref()),
-            Column::Categorical(c, v) | Column::Dict(c, v) => KeyView::Cat(c, v.as_ref()),
+            Column::Dict(c, v) => KeyView::Cat(c, v.as_ref()),
             // `merge_impl` expands run-length keys before building views;
             // a borrowed view cannot own the expansion.
             Column::Rle(_) => unreachable!("RLE keys are decoded before view construction"),
@@ -371,7 +371,7 @@ fn rows_equal(a: &KeyView<'_>, i: usize, b: &KeyView<'_>, j: usize) -> bool {
             (false, false) => ad.get(i) == bd.get(j),
             _ => false,
         },
-        // String class (Utf8 / Categorical in any mix): rendered equality,
+        // String class (Utf8 / Dict in any mix): rendered equality,
         // nulls rendering "NaN".
         _ => a.str_at(i) == b.str_at(j),
     }
@@ -843,11 +843,11 @@ fn gather_optional<I: IndexLike>(col: &Column, indices: &[I]) -> Column {
             }
             Column::Utf8(out.finish(), Some(validity.finish()))
         }
-        // Categorical re-encodes its dictionary in gather order, exactly
-        // like the builder did (cold path). Encoded columns take the same
-        // builder fallback: `dtype()` routes Dict to a plain Utf8 output
-        // and Rle to its value dtype.
-        Column::Categorical(..) | Column::Dict(..) | Column::Rle(_) => {
+        // Dictionary and run columns take the builder fallback (cold
+        // path): `dtype()` routes a transparent Dict to a plain Utf8
+        // output, a category to a fresh category, and Rle to its value
+        // dtype.
+        Column::Dict(..) | Column::Rle(_) => {
             let mut b = ColumnBuilder::new(col.dtype());
             for &ix in indices {
                 if ix.is_sentinel() {

@@ -111,7 +111,7 @@ impl<'a> SortKey<'a> {
             Column::Float64(d, v) => (KeyData::F64(d), v.as_ref()),
             Column::Bool(d, v) => (KeyData::Bool(d), v.as_ref()),
             Column::Utf8(d, v) => (KeyData::Str(d), v.as_ref()),
-            Column::Categorical(c, v) | Column::Dict(c, v) => (KeyData::Cat(c), v.as_ref()),
+            Column::Dict(c, v) => (KeyData::Cat(c), v.as_ref()),
             // Sort entry points expand run-length keys before building
             // views; a borrowed view cannot own the expansion.
             Column::Rle(_) => unreachable!("RLE keys are decoded before view construction"),
@@ -208,7 +208,7 @@ pub fn cmp_rows_across(
                     }
                     (KeyData::Bool(x), KeyData::Bool(y)) => x.get(ai).cmp(&y.get(bi)),
                     // String-class keys all compare raw bytes, so Utf8
-                    // and Categorical chunks interoperate.
+                    // and dictionary chunks interoperate.
                     (KeyData::Str(_) | KeyData::Cat(_), KeyData::Str(_) | KeyData::Cat(_)) => {
                         key_bytes(ka, ai).cmp(key_bytes(kb, bi))
                     }
@@ -382,7 +382,7 @@ fn numeric_stats(key: &SortKey<'_>, n: usize, pool: &WorkerPool) -> Option<(u64,
 }
 
 /// Max byte length and NUL-byte presence over a string key's values.
-/// Categoricals scan their (small) dictionary; Utf8 scans row values
+/// Dictionary keys scan their (small) dictionary; Utf8 scans row values
 /// morsel-parallel (null slots hold `""` and contribute nothing).
 fn string_stats(key: &SortKey<'_>, n: usize, pool: &WorkerPool) -> (usize, bool) {
     match &key.view {

@@ -20,14 +20,16 @@
 //! u64 ncols · u64 nrows
 //! per column:
 //!   u32 name_len · name bytes (UTF-8)
-//!   u8  dtype tag (0 Int64 · 1 Float64 · 2 Bool · 3 Utf8 · 4 Datetime · 5 Categorical)
+//!   u8  dtype tag (0 Int64 · 1 Float64 · 2 Bool · 3 Utf8 · 4 Datetime
+//!                  · 5 category Dict · 6 transparent Dict · 7 Rle)
 //!   u8  has_validity; if 1: nrows.div_ceil(64) × u64 bitmap words
 //!   payload:
 //!     Int64/Datetime  nrows × i64
 //!     Float64         nrows × u64   (f64::to_bits — NaN payloads survive bit-identically)
 //!     Bool            nrows.div_ceil(64) × u64 bitmap words
 //!     Utf8            u64 total_bytes · nrows × u32 row lengths · arena bytes
-//!     Categorical     nrows × u32 codes · dict as a Utf8 payload (u64 rows first)
+//!     Dict (5 and 6)  nrows × u32 codes · dict as a Utf8 payload (u64 rows first)
+//!     Rle             u64 nruns · run values as a column (nruns rows) · nruns × u32 ends
 //! ```
 //!
 //! Utf8 payloads write the column's *used* arena range once
@@ -590,7 +592,8 @@ fn dtype_tag(col: &Column) -> u8 {
         Column::Bool(..) => 2,
         Column::Utf8(..) => 3,
         Column::Datetime(..) => 4,
-        Column::Categorical(..) => 5,
+        // One dictionary layout, two tags: the flag picks the dtype.
+        Column::Dict(c, _) if c.category => 5,
         Column::Dict(..) => 6,
         Column::Rle(..) => 7,
     }
@@ -612,10 +615,9 @@ fn write_column(w: &mut impl Write, col: &Column, nrows: usize) -> Result<()> {
         }
         Column::Bool(d, _) => write_bitmap(w, d)?,
         Column::Utf8(d, _) => write_utf8(w, d)?,
-        // Dict shares the Categorical payload shape (codes + dict once)
-        // under its own tag, so encoded columns spill their compressed
-        // form — the dictionary is written once, not a string per row.
-        Column::Categorical(c, _) | Column::Dict(c, _) => {
+        // Dictionary columns spill their compressed form — the
+        // dictionary is written once, not a string per row.
+        Column::Dict(c, _) => {
             for &code in &c.codes {
                 write_u32(w, code)?;
             }
@@ -681,18 +683,15 @@ fn read_column(r: &mut impl Read, nrows: usize, path: &Path) -> Result<Column> {
             }
             let dict_rows = read_u64(r)? as usize;
             let dict = read_utf8(r, dict_rows, path)?;
-            if codes.iter().any(|&c| c as usize >= dict_rows.max(1)) {
-                return Err(corrupt(path, "categorical code out of range"));
+            if codes.iter().any(|&c| c as usize >= dict_rows) {
+                return Err(corrupt(path, "dictionary code out of range"));
             }
             let payload = Categorical {
                 codes,
                 dict: Arc::new(dict),
+                category: dtype == 5,
             };
-            if dtype == 5 {
-                Column::Categorical(payload, validity)
-            } else {
-                Column::Dict(payload, validity)
-            }
+            Column::Dict(payload, validity)
         }
         7 => {
             if validity.is_some() {
@@ -908,6 +907,38 @@ mod tests {
         std::fs::write(&path, b"NOTSPILL????").unwrap();
         let err = SpillReader::open(path).unwrap_err();
         assert!(err.to_string().contains("corrupt"));
+    }
+
+    /// A dictionary column whose codes point past its dictionary —
+    /// including rows over a zero-entry dictionary — must be rejected on
+    /// read as a structured error, never admitted to panic later in
+    /// `decode()`'s gather. Both spill tags (5 category, 6 transparent)
+    /// take the same check.
+    #[test]
+    fn dictionary_codes_out_of_range_rejected() {
+        let dir = temp_dir();
+        let cases = [
+            (Vec::new(), vec![0, 0], Some(Bitmap::new(2, false))),
+            (vec!["x"], vec![0, 1], None),
+        ];
+        for (entries, codes, validity) in cases {
+            for category in [true, false] {
+                let col = Column::Dict(
+                    Categorical {
+                        codes: codes.clone(),
+                        dict: Arc::new(Utf8Col::from_values(&entries)),
+                        category,
+                    },
+                    validity.clone(),
+                );
+                let file = spill_frame(&dir, &df![("c", col)]).unwrap();
+                let err = file.read_all().unwrap_err();
+                assert!(
+                    err.to_string().contains("dictionary code out of range"),
+                    "{entries:?} {codes:?} category={category}: {err}"
+                );
+            }
+        }
     }
 
     /// Randomized property test: many shapes per dtype (validity

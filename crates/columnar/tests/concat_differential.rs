@@ -3,8 +3,10 @@
 //! fold of the two-input `concat` *structurally* (same variant, same
 //! dictionary and codes, same null-slot sentinels, same validity shape)
 //! and the seed row-wise `lafp_oracle::reference::concat_ref` logically.
-//! For plain and `Categorical` parts the oracle's builder output is also
-//! the exact layout the n-way kernel must reproduce.
+//! For plain parts the oracle's builder output is also the exact layout
+//! the n-way kernel must reproduce; dictionary parts (transparent or
+//! category) follow the one unification rule, whose entry order the
+//! builder does not share and no consumer observes.
 //!
 //! Part lengths deliberately straddle 64-row bitmap words, and part lists
 //! mix zero-row parts, nulls, NaN cells, shared and distinct
@@ -13,7 +15,7 @@
 
 use lafp_columnar::column::Categorical;
 use lafp_columnar::encoding::dict_encode;
-use lafp_columnar::{Bitmap, Column, DType, DataFrame, Series, Utf8Col};
+use lafp_columnar::{Bitmap, Column, DType, DataFrame, Scalar, Series, Utf8Col};
 use lafp_oracle::equiv::{assert_col_equiv, assert_frame_equiv};
 use lafp_oracle::reference::{concat_ref, force_rle};
 use std::sync::Arc;
@@ -62,7 +64,8 @@ fn check(parts: &[Column], what: &str) -> Column {
     );
     let reference = oracle(parts);
     assert_col_equiv(&many, &reference, what);
-    if parts.len() >= 2 && !parts.iter().any(Column::is_encoded) {
+    let plain = |p: &Column| !matches!(p, Column::Dict(..) | Column::Rle(_));
+    if parts.len() >= 2 && parts.iter().all(plain) {
         assert!(
             same_layout(&many, &reference),
             "{what}: n-way layout differs from the builder path\n n-way: {many:?}\n   ref: {reference:?}"
@@ -174,14 +177,16 @@ fn plain_part(kind: Kind, len: usize, nulls: usize, rng: &mut Rng) -> Column {
 }
 
 /// A part, possibly encoded: Utf8 parts may become `Dict` (own
-/// dictionary), numeric parts `Rle`.
+/// dictionary), numeric and category parts `Rle`.
 fn part(kind: Kind, rng: &mut Rng) -> Column {
     let len = rng.len();
     let nulls = [0, 0, 2, 5][rng.below(4)];
     let col = plain_part(kind, len, nulls, rng);
     match (kind, rng.below(3)) {
         (Kind::Utf8, 0) => dict_encode(&col).unwrap(),
-        (Kind::Int | Kind::Float | Kind::Datetime | Kind::Bool, 0) => force_rle(&col),
+        (Kind::Int | Kind::Float | Kind::Datetime | Kind::Bool | Kind::Categorical, 0) => {
+            force_rle(&col)
+        }
         _ => col,
     }
 }
@@ -230,6 +235,7 @@ fn dict_col(entries: &[&str], codes: Vec<u32>, valid: Option<&[bool]>) -> Column
         Categorical {
             codes,
             dict: Arc::new(Utf8Col::from_values(entries)),
+            category: false,
         },
         valid.map(Bitmap::from_bools),
     )
@@ -237,7 +243,7 @@ fn dict_col(entries: &[&str], codes: Vec<u32>, valid: Option<&[bool]>) -> Column
 
 fn dict_of(c: &Column) -> (&[u32], Vec<&str>) {
     match c {
-        Column::Dict(p, _) | Column::Categorical(p, _) => (&p.codes, p.dict.iter().collect()),
+        Column::Dict(p, _) => (&p.codes, p.dict.iter().collect()),
         other => panic!("expected a dictionary column, got {other:?}"),
     }
 }
@@ -283,17 +289,20 @@ fn shared_dict_concatenates_codes_only() {
     assert!(same_layout(&out, &whole));
 }
 
+fn strs(values: &[Option<&str>]) -> Vec<Scalar> {
+    values
+        .iter()
+        .map(|v| v.map_or(Scalar::Null, |s| Scalar::Str(s.into())))
+        .collect()
+}
+
 #[test]
-fn categorical_first_appearance_with_null_as_empty_string() {
-    // The null row's code points at "w": a null interns "" whatever its
-    // code says, so "w" (referenced by no valid row) never appears.
-    let a = Column::Categorical(
-        Categorical {
-            codes: vec![0, 1],
-            dict: Arc::new(Utf8Col::from_values(["w", "y"])),
-        },
-        Some(Bitmap::from_bools(&[false, true])),
-    );
+fn categorical_null_codes_read_as_null_after_concat() {
+    // The null row's code points at "w", an entry no valid row uses:
+    // the row must read null and "w" must not surface anywhere.
+    let a = dict_col(&["w", "y"], vec![0, 1], Some(&[false, true]))
+        .to_categorical()
+        .unwrap();
     let b = Column::from_opt_strings(vec![
         Some("x".into()),
         Some("y".into()),
@@ -304,30 +313,41 @@ fn categorical_first_appearance_with_null_as_empty_string() {
     .unwrap();
     let out = check(&[a, b], "categorical");
     assert_eq!(out.dtype(), DType::Categorical);
-    let (codes, dict) = dict_of(&out);
-    assert_eq!(dict, vec!["", "y", "x"]);
-    assert_eq!(codes, &[0, 1, 2, 1, 0, 0]);
+    assert_eq!(
+        out.iter().collect::<Vec<_>>(),
+        strs(&[None, Some("y"), Some("x"), Some("y"), None, Some("")])
+    );
     assert_eq!(out.count_null(), 2);
+    assert_eq!(out.nunique(), Scalar::Int(3));
+    assert_eq!(out.max(), Scalar::Str("y".into()));
 }
 
 #[test]
-fn categorical_drops_unused_and_reorders_entries() {
+fn categorical_unused_and_skewed_entries_concat_logically() {
     // A part whose dictionary order is not first-appearance order, with
     // an entry no row references.
-    let skewed = Column::Categorical(
-        Categorical {
-            codes: vec![2, 2, 0],
-            dict: Arc::new(Utf8Col::from_values(["late", "unused", "early"])),
-        },
-        None,
-    );
+    let skewed = dict_col(&["late", "unused", "early"], vec![2, 2, 0], None)
+        .to_categorical()
+        .unwrap();
     let other = Column::from_strings(["late", "fresh"])
         .to_categorical()
         .unwrap();
     let out = check(&[skewed, other], "categorical reorder");
-    let (codes, dict) = dict_of(&out);
-    assert_eq!(dict, vec!["early", "late", "fresh"]);
-    assert_eq!(codes, &[0, 0, 1, 1, 2]);
+    assert_eq!(out.dtype(), DType::Categorical);
+    assert_eq!(
+        out.iter().collect::<Vec<_>>(),
+        strs(&[
+            Some("early"),
+            Some("early"),
+            Some("late"),
+            Some("late"),
+            Some("fresh")
+        ])
+    );
+    // The unused entry is invisible to the used-code reductions.
+    assert_eq!(out.nunique(), Scalar::Int(3));
+    assert_eq!(out.min(), Scalar::Str("early".into()));
+    assert_eq!(out.max(), Scalar::Str("late".into()));
 }
 
 // ---------------------------------------------------------------------------

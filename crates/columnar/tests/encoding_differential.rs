@@ -3,6 +3,11 @@
 //! `Column::Rle`) and on its decoded plain twin. Encodings are only
 //! allowed to change the *cost* of a kernel, never its result.
 //!
+//! Every dictionary case also runs on the category flavour of the same
+//! strings (the one `Dict` layout with its `category` flag set), checked
+//! against the seed references over the builder-made category column
+//! and required to keep `DType::Categorical` wherever pandas keeps it.
+//!
 //! Edge regimes the ISSUE calls out get dedicated deterministic tests:
 //! null-heavy columns, empty columns, single-run columns, and columns
 //! whose runs straddle the 64 Ki morsel seam — each exercised through
@@ -11,18 +16,20 @@
 //! (not through the ingest heuristics), so the escape hatch only turns
 //! off the auto-detection and fast-path gates, never correctness.
 
-use lafp_columnar::column::{ArithOp, CmpOp};
+use lafp_columnar::column::{ArithOp, CmpOp, StrOp};
 use lafp_columnar::encoding::dict_encode;
 use lafp_columnar::groupby::{group_by, group_by_par};
 use lafp_columnar::join::{merge, merge_par};
 use lafp_columnar::sort::{nlargest, sort_values, sort_values_par};
 use lafp_columnar::spill::{spill_frame, SpillDir};
 use lafp_columnar::{
-    AggKind, Bitmap, Column, DataFrame, GroupBySpec, JoinKind, Scalar, Series, SortOptions,
+    AggKind, Bitmap, Column, DType, DataFrame, GroupBySpec, JoinKind, Scalar, Series, SortOptions,
     WorkerPool,
 };
 use lafp_oracle::equiv::{assert_col_equiv, assert_frame_equiv};
-use lafp_oracle::reference::force_rle;
+use lafp_oracle::reference::{
+    cast_ref, compare_scalar_ref, filter_ref, force_rle, group_by_ref, merge_ref, sort_values_ref,
+};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -132,6 +139,141 @@ fn spill_round_trip(f: &DataFrame, what: &str) {
     }
 }
 
+/// The category flavour of a plain string column: every dictionary
+/// kernel (compare verdicts, used-code min/max/nunique, per-entry `.str`
+/// ops, sort ranks, the dense group-by, the dictionary join probe and
+/// the spill round trip) on `cat` must equal the seed reference over the
+/// builder-made category twin of `plain`, and keep the `Categorical`
+/// dtype wherever pandas keeps it. `threads` picks the sequential (1) or
+/// pooled kernels.
+fn category_flavour_matches_oracle(
+    cat: &Column,
+    plain: &Column,
+    values: &Column,
+    pivots: &[&str],
+    threads: &[usize],
+    what: &str,
+) {
+    let oracle = cast_ref(plain, DType::Categorical).unwrap();
+    assert_eq!(
+        cat.dtype(),
+        DType::Categorical,
+        "{what}: to_categorical dtype"
+    );
+    assert!(
+        !cat.is_encoded(),
+        "{what}: a category is not a transparent encoding"
+    );
+    assert_eq!(
+        cat.decode().dtype(),
+        DType::Categorical,
+        "{what}: decode keeps category"
+    );
+    assert_col_equiv(cat, &oracle, &format!("{what} category rows"));
+    assert_col_equiv(&cat.to_utf8().unwrap(), plain, &format!("{what} to_utf8"));
+    assert_eq!(cat.min(), plain.min(), "{what}: min");
+    assert_eq!(cat.max(), plain.max(), "{what}: max");
+    assert_eq!(cat.nunique(), plain.nunique(), "{what}: nunique");
+
+    let fe = frame(vec![("k", cat.clone()), ("v", values.clone())]);
+    let fo = frame(vec![("k", oracle.clone()), ("v", values.clone())]);
+    for pivot in pivots {
+        let lit = Scalar::Str(pivot.to_string());
+        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge] {
+            let got = cat.compare_scalar(op, &lit).unwrap();
+            assert_eq!(
+                got,
+                compare_scalar_ref(&oracle, op, &lit),
+                "{what}: compare_scalar {op:?} {pivot:?}"
+            );
+            let kept = fe.filter(&got).unwrap();
+            assert_eq!(kept.column("k").unwrap().dtype(), DType::Categorical);
+            assert_frame_equiv(
+                &kept,
+                &filter_ref(&fo, &got),
+                &format!("{what} filter {op:?}"),
+            );
+        }
+        // `.str` on a category is `object` in pandas: Utf8, not category.
+        for op in [
+            StrOp::Lower,
+            StrOp::Upper,
+            StrOp::Len,
+            StrOp::Contains(pivot.to_string()),
+            StrOp::StartsWith(pivot.to_string()),
+        ] {
+            let got = cat.str_op(&op).unwrap();
+            assert_ne!(got.dtype(), DType::Categorical, "{what}: str.{op:?} dtype");
+            assert_col_equiv(
+                &got,
+                &plain.str_op(&op).unwrap(),
+                &format!("{what} str.{op:?}"),
+            );
+        }
+    }
+
+    let rows = Column::from_i64((0..cat.len() as i64).collect());
+    let se = frame(vec![("k", cat.clone()), ("row", rows.clone())]);
+    let so = frame(vec![("k", oracle.clone()), ("row", rows)]);
+    for asc in [true, false] {
+        let options = SortOptions::single("k", asc);
+        let reference = sort_values_ref(&so, &options);
+        for &t in threads {
+            let got = if t <= 1 {
+                sort_values(&se, &options).unwrap()
+            } else {
+                sort_values_par(&se, &options, &WorkerPool::new(t)).unwrap()
+            };
+            assert_eq!(got.column("k").unwrap().dtype(), DType::Categorical);
+            assert_frame_equiv(&got, &reference, &format!("{what} sort asc={asc} t={t}"));
+        }
+    }
+
+    for agg in [AggKind::Sum, AggKind::Count, AggKind::NUnique] {
+        let spec = GroupBySpec {
+            keys: vec!["k".into()],
+            value: "v".into(),
+            agg,
+        };
+        let reference = group_by_ref(&fo, &spec);
+        for &t in threads {
+            let got = if t <= 1 {
+                group_by(&fe, &spec).unwrap()
+            } else {
+                group_by_par(&fe, &spec, &WorkerPool::new(t)).unwrap()
+            };
+            assert_frame_equiv(&got, &reference, &format!("{what} groupby {agg:?} t={t}"));
+        }
+    }
+
+    // Both sides category: the join probes through the code remap.
+    let entries = Column::from_strings(["", "a", "b", "tag3", "g2", "only", "zz", "cc"]);
+    let payload = Column::from_i64((0..entries.len() as i64).collect());
+    let re = frame(vec![
+        ("k", entries.to_categorical().unwrap()),
+        ("pay", payload.clone()),
+    ]);
+    let ro = frame(vec![
+        ("k", cast_ref(&entries, DType::Categorical).unwrap()),
+        ("pay", payload),
+    ]);
+    let on = vec!["k".to_string()];
+    for how in [JoinKind::Inner, JoinKind::Left] {
+        let reference = merge_ref(&fo, &ro, &on, how);
+        for &t in threads {
+            let got = if t <= 1 {
+                merge(&fe, &re, &on, how).unwrap()
+            } else {
+                merge_par(&fe, &re, &on, how, &WorkerPool::new(t)).unwrap()
+            };
+            assert_eq!(got.column("k").unwrap().dtype(), DType::Categorical);
+            assert_frame_equiv(&got, &reference, &format!("{what} join {how:?} t={t}"));
+        }
+    }
+
+    spill_round_trip(&fe, &format!("{what} category"));
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic edge regimes at 1/2/8 threads
 // ---------------------------------------------------------------------------
@@ -155,6 +297,9 @@ fn empty_columns_behave_like_plain() {
         &frame(vec![("s", dict), ("i", rle)]),
         "empty encoded frame",
     );
+    let none = Column::from_i64(Vec::new());
+    let cat = plain_s.to_categorical().unwrap();
+    category_flavour_matches_oracle(&cat, &plain_s, &none, &["a"], &THREADS, "empty");
 }
 
 #[test]
@@ -178,6 +323,8 @@ fn single_run_column_spanning_the_morsel_seam() {
     groupby_both(&dict, &plain_s, &values, AggKind::Sum, &THREADS, "single-run");
     groupby_both(&rle, &plain, &values, AggKind::Count, &THREADS, "single-run rle key");
     sort_both(&dict, &plain_s, &THREADS, "single-run dict");
+    let cat = plain_s.to_categorical().unwrap();
+    category_flavour_matches_oracle(&cat, &plain_s, &values, &["only"], &THREADS, "single-run");
     spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "single-run");
 }
 
@@ -230,6 +377,8 @@ fn null_heavy_columns_match_plain() {
     groupby_both(&dict, &plain_s, &values, AggKind::Mean, &THREADS, "null-heavy");
     sort_both(&dict, &plain_s, &THREADS, "null-heavy dict");
     sort_both(&rle, &plain_i, &THREADS, "null-heavy rle");
+    let cat = plain_s.to_categorical().unwrap();
+    category_flavour_matches_oracle(&cat, &plain_s, &values, &["tag3"], &THREADS, "null-heavy");
     spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "null-heavy");
 }
 
@@ -283,6 +432,8 @@ fn runs_straddling_the_morsel_seam() {
         assert_col_equiv(&a.column().decode(), &e.column().decode(), "seam top-n");
     }
 
+    let cat = plain_s.to_categorical().unwrap();
+    category_flavour_matches_oracle(&cat, &plain_s, &values, &["g2"], &THREADS, "seam");
     spill_round_trip(&frame(vec![("k", dict), ("r", rle)]), "seam");
 }
 
@@ -325,6 +476,8 @@ proptest! {
             groupby_both(&dict, &plain, &values, AggKind::NUnique, &[1], "prop dict");
             sort_both(&dict, &plain, &[1], "prop dict");
         }
+        let cat = plain.to_categorical().unwrap();
+        category_flavour_matches_oracle(&cat, &plain, &values, &[pivot.as_str()], &[1], "prop");
         spill_round_trip(&frame(vec![("k", dict)]), "prop dict");
     }
 
@@ -459,7 +612,17 @@ fn dict_unused_entries_after_filter_match_plain() {
         }
     }
 
+    // The category flavour of the filtered column keeps the same
+    // dictionary, unused entries included.
+    let cat_f = dict_f.to_categorical().unwrap();
+    match &cat_f {
+        Column::Dict(cat, _) => assert!(cat.category && cat.dict.len() >= 6),
+        other => panic!("to_categorical must keep the Dict payload, got {other:?}"),
+    }
+    let pivots = ["aa", "qq", "zz", "bb", "mm", "nope"];
+    category_flavour_matches_oracle(&cat_f, &plain_f, &values, &pivots, &THREADS, "filtered");
+
     // And the filtered column round-trips through the spill format with
     // its full dictionary intact.
-    spill_round_trip(&frame(vec![("s", dict_f)]), "filtered dict");
+    spill_round_trip(&frame(vec![("s", dict_f), ("c", cat_f)]), "filtered dict");
 }

@@ -70,7 +70,7 @@ impl ColumnScan {
                 Self::insert_str,
                 str_scalar,
             ),
-            Column::Dict(c, m) | Column::Categorical(c, m) => {
+            Column::Dict(c, m) => {
                 // Each dictionary entry a valid row uses, once.
                 let mut used = vec![false; c.dict.len()];
                 for (i, &code) in c.codes.iter().enumerate() {

@@ -10,7 +10,7 @@
 //! every checkpoint is compared against the oracle state with the
 //! established 1e-12 relative float tolerance.
 
-use super::gen::{build_plain, encode_for_engine, temp_csv_path, write_csv};
+use super::gen::{build_plain, categories_for_oracle, encode_for_engine, temp_csv_path, write_csv};
 use super::trace::{RawOp, Trace, GROWTH_CAP};
 use crate::equiv::check_frame_close;
 use crate::reference as oracle;
@@ -350,7 +350,7 @@ fn resolve(
     let schema = schema_of(cur);
     match raw.code {
         0 => match pick(&schema, raw.a, |d| {
-            matches!(d, DType::Int64 | DType::Float64 | DType::Utf8)
+            matches!(d, DType::Int64 | DType::Float64) || d.is_string_like()
         }) {
             Some((name, dtype)) => ROp::Filter {
                 col: name.clone(),
@@ -377,12 +377,12 @@ fn resolve(
         }
         2 => {
             // Compare within one dtype family: numeric x numeric or
-            // Utf8 x Utf8, chosen by the low operand bit when both are
-            // available.
+            // string x string (Utf8 or category, in any mix), chosen by
+            // the low operand bit when both are available.
             let prefer_num = raw.c & 1 == 0;
             let pair = [prefer_num, !prefer_num].into_iter().find_map(|want_num| {
                 let pred: fn(DType) -> bool =
-                    if want_num { numeric } else { |d| d == DType::Utf8 };
+                    if want_num { numeric } else { DType::is_string_like };
                 Some((
                     pick(&schema, raw.a, pred)?.0.clone(),
                     pick(&schema, raw.b, pred)?.0.clone(),
@@ -643,7 +643,7 @@ fn oracle_apply(cur: &DataFrame, aux: &DataFrame, rop: &ROp) -> DataFrame {
 /// against the evolving schema, and record each intermediate state.
 pub fn run_oracle(trace: &Trace) -> OracleRun {
     let main_plain = build_plain(&trace.main);
-    let aux = build_plain(&trace.aux);
+    let aux = categories_for_oracle(&build_plain(&trace.aux), &trace.aux);
     let (initial, csv_path) = if trace.via_csv {
         let path = temp_csv_path();
         write_csv(&main_plain, &path);
@@ -652,7 +652,7 @@ pub fn run_oracle(trace: &Trace) -> OracleRun {
             Some(path),
         )
     } else {
-        (main_plain, None)
+        (categories_for_oracle(&main_plain, &trace.main), None)
     };
     let aux_schema = schema_of(&aux);
     let mut with_counter = 0usize;

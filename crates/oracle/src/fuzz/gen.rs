@@ -3,12 +3,13 @@
 //!
 //! Everything here is a pure function of the trace (plus the batch
 //! seed), so a replayed hex string rebuilds byte-identical inputs. The
-//! oracle and the engine share [`build_plain`] — the engine's copy then
-//! goes through [`encode_for_engine`] (or a CSV file) so the two sides
-//! hold logically identical frames in different representations.
+//! oracle and the engine share [`build_plain`] — the oracle's copy then
+//! goes through [`categories_for_oracle`], the engine's through
+//! [`encode_for_engine`] (or a CSV file), so the two sides hold
+//! logically identical frames in different representations.
 
 use super::trace::{ColKind, ColPlan, Enc, FramePlan, MAX_AUX_COLS, MAX_AUX_ROWS, MAX_COLS, MAX_OPS, NUM_OPCODES};
-use crate::reference::force_rle;
+use crate::reference::{cast_ref, force_rle};
 use lafp_columnar::column::ColumnBuilder;
 use lafp_columnar::csv::quote_field;
 use lafp_columnar::encoding::dict_encode;
@@ -135,23 +136,41 @@ pub fn build_plain(plan: &FramePlan) -> DataFrame {
 
 /// Re-encode the engine's copy per the plan: `Dict` dictionary-encodes
 /// Utf8 columns (falling back to plain past the cardinality cap), `Rle`
-/// force-run-length-encodes any column. The oracle keeps the plain
-/// twin, so every downstream comparison checks encoding-aware kernels
-/// against plain semantics.
+/// force-run-length-encodes any column, `Category` converts Utf8
+/// columns with the engine's own `to_categorical`. The oracle keeps the
+/// plain twin (or, for `Category`, the builder-made category), so every
+/// downstream comparison checks the engine's kernels against the seed
+/// semantics.
 pub fn encode_for_engine(frame: &DataFrame, plan: &FramePlan) -> DataFrame {
     let mut out = frame.clone();
     for (i, cp) in plan.cols.iter().enumerate() {
         let name = format!("c{i}");
         let col = out.column(&name).expect("planned column").column().clone();
+        let plain_utf8 = col.dtype() == DType::Utf8 && !col.is_encoded();
         let encoded = match cp.enc {
             Enc::Plain => None,
-            Enc::Dict => (col.dtype() == DType::Utf8 && !col.is_encoded())
-                .then(|| dict_encode(&col))
-                .flatten(),
+            Enc::Dict => plain_utf8.then(|| dict_encode(&col)).flatten(),
             Enc::Rle => (!col.is_encoded()).then(|| force_rle(&col)),
+            Enc::Category => plain_utf8.then(|| col.to_categorical().expect("Utf8 converts")),
         };
         if let Some(encoded) = encoded {
             out = out.with_column(&name, encoded).expect("same length");
+        }
+    }
+    out
+}
+
+/// The oracle's copy of a plain frame: `Category` Utf8 columns become
+/// pandas `category` through the seed builder cast; every other column
+/// stays plain.
+pub fn categories_for_oracle(frame: &DataFrame, plan: &FramePlan) -> DataFrame {
+    let mut out = frame.clone();
+    for (i, cp) in plan.cols.iter().enumerate() {
+        let name = format!("c{i}");
+        let col = out.column(&name).expect("planned column").column();
+        if cp.enc == Enc::Category && col.dtype() == DType::Utf8 {
+            let cat = cast_ref(col, DType::Categorical).expect("strings cast to category");
+            out = out.with_column(&name, cat).expect("same length");
         }
     }
     out

@@ -8,7 +8,7 @@
 //! live schema, so every edited trace is still a valid trace.
 
 use super::exec::{FuzzConfig, Mutation};
-use super::trace::{Enc, Trace};
+use super::trace::{normalize, Enc, Trace};
 
 /// Upper bound on re-executions during one shrink (a runaway guard;
 /// typical shrinks finish in well under a hundred).
@@ -29,10 +29,12 @@ impl Shrinker<'_> {
         super::run_case(t, self.cfg, self.mutation).is_err()
     }
 
-    /// Try one edit; returns the edited trace if it still fails.
+    /// Try one edit (re-normalized, so the shrunk trace replays from its
+    /// hex exactly); returns the edited trace if it still fails.
     fn try_edit(&mut self, base: &Trace, edit: impl FnOnce(&mut Trace)) -> Option<Trace> {
         let mut t = base.clone();
         edit(&mut t);
+        normalize(&mut t);
         if t != *base && self.fails(&t) {
             Some(t)
         } else {
@@ -85,9 +87,8 @@ pub fn shrink(trace: &Trace, cfg: &FuzzConfig, mutation: Mutation) -> Trace {
                 continue 'outer;
             }
         }
-        // 4. Drop columns (keep at least one per frame; the join-key
-        //    dtype normalization is re-derived on the next decode, so
-        //    re-normalize here to keep the trace canonical).
+        // 4. Drop columns (keep at least one per frame; `try_edit`
+        //    re-derives the join-key pairing).
         for i in (1..cur.main.cols.len()).rev() {
             if let Some(t) = s.try_edit(&cur, |t| {
                 t.main.cols.remove(i);
@@ -99,7 +100,6 @@ pub fn shrink(trace: &Trace, cfg: &FuzzConfig, mutation: Mutation) -> Trace {
         if cur.main.cols.len() > 1 {
             if let Some(t) = s.try_edit(&cur, |t| {
                 t.main.cols.remove(0);
-                t.aux.cols[0].kind = t.main.cols[0].kind;
             }) {
                 cur = t;
                 continue 'outer;

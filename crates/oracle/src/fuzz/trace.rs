@@ -66,8 +66,9 @@ impl ColKind {
     }
 }
 
-/// Physical encoding requested for the engine-side copy of a column
-/// (the oracle always holds the plain twin).
+/// Representation requested for a column. The three encodings apply to
+/// the engine-side copy only (the oracle holds the plain twin);
+/// `Category` changes the dtype on both sides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Enc {
     /// Plain storage.
@@ -77,15 +78,20 @@ pub enum Enc {
     Dict,
     /// Forced run-length encoding (no shrink gate).
     Rle,
+    /// Held as pandas `category` (effective for Utf8 columns; others
+    /// stay plain): the engine through `Column::to_categorical`, the
+    /// oracle through the seed builder cast.
+    Category,
 }
 
 impl Enc {
     /// Total decode from a byte.
     pub fn from_byte(b: u8) -> Enc {
-        match b % 3 {
+        match b % 4 {
             0 => Enc::Plain,
             1 => Enc::Dict,
-            _ => Enc::Rle,
+            2 => Enc::Rle,
+            _ => Enc::Category,
         }
     }
 
@@ -95,6 +101,7 @@ impl Enc {
             Enc::Plain => 0,
             Enc::Dict => 1,
             Enc::Rle => 2,
+            Enc::Category => 3,
         }
     }
 }
@@ -199,31 +206,14 @@ pub fn decode(bytes: &[u8]) -> Trace {
     let main_rows = r.u32() % (MAX_ROWS + 1);
     let aux_rows = r.u32() % (MAX_AUX_ROWS + 1);
     let via_csv = r.u8() % 2 == 1;
-    let mut main = FramePlan {
+    let main = FramePlan {
         rows: main_rows,
         cols: (0..n_main).map(|_| decode_col(r)).collect(),
     };
-    let mut aux = FramePlan {
+    let aux = FramePlan {
         rows: aux_rows,
         cols: (0..n_aux).map(|_| decode_col(r)).collect(),
     };
-    // Normalizations (part of decoding so the stored trace is already
-    // canonical and `decode(encode(t)) == t` holds):
-    // the join key column pair (`c0` on both sides) shares one dtype —
-    // cross-dtype canonical keys are outside the frozen seed semantics;
-    // CSV-routed frames avoid Datetime (scalar rendering is not the CSV
-    // datetime parse format) and always store plain (the engine-side
-    // representation comes from ingest auto-encoding instead).
-    aux.cols[0].kind = main.cols[0].kind;
-    if via_csv {
-        for c in &mut main.cols {
-            if c.kind == ColKind::Datetime {
-                c.kind = ColKind::I64;
-            }
-            c.enc = Enc::Plain;
-        }
-        aux.cols[0].kind = main.cols[0].kind;
-    }
     let n_ops = (r.u8() as usize) % (MAX_OPS + 1);
     let ops = (0..n_ops)
         .map(|_| RawOp {
@@ -233,11 +223,38 @@ pub fn decode(bytes: &[u8]) -> Trace {
             c: r.u8(),
         })
         .collect();
-    Trace {
+    let mut t = Trace {
         main,
         aux,
         via_csv,
         ops,
+    };
+    normalize(&mut t);
+    t
+}
+
+/// Bring a trace's plans to canonical form (part of decoding, so the
+/// stored trace is already canonical and `decode(encode(t)) == t` holds;
+/// the shrinker re-applies it after every edit):
+/// the join key column pair (`c0` on both sides) shares one dtype —
+/// cross-dtype canonical keys are outside the frozen seed semantics, so
+/// a category on either side is a category on both;
+/// CSV-routed frames avoid Datetime (scalar rendering is not the CSV
+/// datetime parse format) and always store plain (the engine-side
+/// representation comes from ingest auto-encoding instead).
+pub fn normalize(t: &mut Trace) {
+    let (main, aux) = (&mut t.main, &mut t.aux);
+    if t.via_csv {
+        for c in &mut main.cols {
+            if c.kind == ColKind::Datetime {
+                c.kind = ColKind::I64;
+            }
+            c.enc = Enc::Plain;
+        }
+    }
+    aux.cols[0].kind = main.cols[0].kind;
+    if (main.cols[0].enc == Enc::Category) != (aux.cols[0].enc == Enc::Category) {
+        aux.cols[0].enc = main.cols[0].enc;
     }
 }
 

@@ -205,3 +205,41 @@ fn seeded_traces_exercise_top_k() {
         "multi-key {multi_key}, mixed {mixed}, n >= rows {past_rows}"
     );
 }
+
+/// The `Category` axis reaches the dictionary kernels: seeded traces
+/// filter, sort, top-k, group and join on a category column, and
+/// concat and spill frames that carry one.
+#[test]
+fn seeded_traces_exercise_categories() {
+    use fuzz::exec::ROp;
+    use lafp_columnar::DType;
+    let mut hits = [0usize; 7];
+    for case in 0..300 {
+        let t = trace::decode(&gen::seeded_case_bytes(42, case));
+        let run = fuzz::exec::run_oracle(&t);
+        for (k, rop) in run.rops.iter().enumerate() {
+            let state = &run.states[k];
+            let is_cat = |name: &str| {
+                state
+                    .column(name)
+                    .is_ok_and(|s| s.column().dtype() == DType::Categorical)
+            };
+            let any_cat = state.series().iter().any(|s| is_cat(s.name()));
+            let slot = match rop {
+                ROp::Filter { col, .. } if is_cat(col) => 0,
+                ROp::Sort { by, .. } if is_cat(by) => 1,
+                ROp::TopK { by, .. } if by.iter().any(|(b, _)| is_cat(b)) => 2,
+                ROp::GroupBy { spec } if is_cat(&spec.keys[0]) => 3,
+                ROp::Join { on, .. } if on.iter().any(|c| is_cat(c)) => 4,
+                ROp::Concat { .. } if any_cat => 5,
+                ROp::SpillRoundTrip if any_cat => 6,
+                _ => continue,
+            };
+            hits[slot] += 1;
+        }
+    }
+    assert!(
+        hits.iter().all(|&h| h > 0),
+        "filter/sort/top-k/group-by/join/concat/spill hits on a category: {hits:?}"
+    );
+}
