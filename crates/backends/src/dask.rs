@@ -40,17 +40,17 @@
 
 use crate::memory::{MemoryReservation, MemoryTracker};
 use lafp_columnar::csv::{CsvChunkReader, CsvOptions};
-use lafp_columnar::faults::{self, FaultSite};
+use lafp_columnar::faults::FaultSite;
 use lafp_columnar::groupby::{GroupByAccumulator, GroupBySpec};
 use lafp_columnar::join::{merge as join_merge, JoinKind};
-use lafp_columnar::pool::{panic_message, pipeline, pipeline3, StageChannel, WorkerPool};
+use lafp_columnar::pool::{panic_message, StageChannel, WorkerPool};
 use lafp_columnar::sort::{
     cmp_rows_across, sort_values_par, top_k, top_k_par, FrameSortKeys, SortOptions,
 };
 use lafp_columnar::spill::{spill_frame, SpillDir, SpillFile, SpillReader};
 use lafp_columnar::{
-    AggKind, Bitmap, CancelToken, Column, ColumnarError, DataFrame, HeapSize, Result, Scalar,
-    Series,
+    AggKind, Bitmap, CancelToken, Column, ColumnarError, DataFrame, ExecConfig, HeapSize, Result,
+    Scalar, Series,
 };
 use lafp_expr::Expr;
 use lafp_meta::FusionStats;
@@ -211,57 +211,73 @@ pub struct DaskEngine {
     /// operator work) when the pool is parallel. On by default; exists
     /// so benches can measure the blocking drain for comparison.
     pub pipeline_scan: bool,
-    /// Fuse maximal runs of row-wise operators (plus a terminal
-    /// aggregation) into single-pass per-morsel chains. On by default;
-    /// `LAFP_NO_FUSE=1` or this flag disables it so CI and benches can
-    /// exercise the unfused path.
-    pub fuse_chains: bool,
+    /// The engine's settings: chain fusion ([`ExecConfig::fuse`]), the
+    /// query deadline and the fault plan its driver fires (the pool and
+    /// spill dir above were built from it).
+    config: ExecConfig,
     /// Engine-local chain-fusion counters (mirrored into
     /// [`lafp_meta::fusion::global`]).
     fusion_stats: Arc<FusionStats>,
     /// Engine-level cancellation token. Each `compute_batch` derives a
-    /// per-query handle from it (`for_query`), which also arms the
-    /// `LAFP_QUERY_TIMEOUT_MS` deadline; cancelling this token aborts
-    /// the running query and every later one.
+    /// per-query handle from it, armed with the configured
+    /// [`ExecConfig::query_timeout`]; cancelling this token aborts the
+    /// running query and every later one.
     cancel: CancelToken,
 }
 
 impl DaskEngine {
     /// New engine charging `tracker`, scanning CSVs in `chunk_rows`-row
-    /// partitions (0 picks the 8192-row default). Worker count comes
-    /// from the shared resolver (`LAFP_THREADS` / available
-    /// parallelism — see [`lafp_columnar::pool::resolve_threads`]).
+    /// partitions (0 picks the 8192-row default), under the process
+    /// configuration ([`ExecConfig::from_env`]).
     pub fn new(tracker: Arc<MemoryTracker>, chunk_rows: usize) -> DaskEngine {
-        DaskEngine {
-            nodes: Vec::new(),
-            tracker,
-            chunk_rows: if chunk_rows == 0 { 8192 } else { chunk_rows },
-            pool: Arc::new(WorkerPool::new(0)),
-            spill_dir: Arc::new(SpillDir::in_temp()),
-            projection_pushdown: false,
-            pipeline_scan: true,
-            fuse_chains: fuse_default(),
-            fusion_stats: Arc::new(FusionStats::default()),
-            cancel: CancelToken::new(),
-        }
+        DaskEngine::with_threads(tracker, chunk_rows, 0)
     }
 
     /// Like [`new`](Self::new) but with an explicit worker-thread count
-    /// (`0` = default resolution). Used by tests and benches to exercise
-    /// the pipelined scan deterministically regardless of host cores.
+    /// (`0` = the configured count).
     pub fn with_threads(
         tracker: Arc<MemoryTracker>,
         chunk_rows: usize,
         threads: usize,
     ) -> DaskEngine {
-        let mut engine = DaskEngine::new(tracker, chunk_rows);
-        engine.pool = Arc::new(WorkerPool::new(threads));
-        engine
+        DaskEngine::with_config(tracker, chunk_rows, ExecConfig::from_env().with_threads(threads))
+    }
+
+    /// An engine whose pool, spill dir, fusion switch, query deadline
+    /// and driver fault plan all come from `config`.
+    pub fn with_config(
+        tracker: Arc<MemoryTracker>,
+        chunk_rows: usize,
+        config: ExecConfig,
+    ) -> DaskEngine {
+        DaskEngine {
+            nodes: Vec::new(),
+            tracker,
+            chunk_rows: if chunk_rows == 0 { 8192 } else { chunk_rows },
+            pool: Arc::new(WorkerPool::from_config(&config)),
+            spill_dir: Arc::new(SpillDir::from_config(&config)),
+            projection_pushdown: false,
+            pipeline_scan: true,
+            config,
+            fusion_stats: Arc::new(FusionStats::default()),
+            cancel: CancelToken::new(),
+        }
     }
 
     /// The shared memory tracker.
     pub fn tracker(&self) -> &Arc<MemoryTracker> {
         &self.tracker
+    }
+
+    /// The engine's settings.
+    pub fn config(&self) -> &ExecConfig {
+        &self.config
+    }
+
+    /// The roots of the engine's spill dir (created on first spill,
+    /// removed when the engine drops).
+    pub fn spill_roots(&self) -> Vec<PathBuf> {
+        self.spill_dir.root_paths()
     }
 
     /// Replace the engine-level cancellation token. Queries started
@@ -492,8 +508,11 @@ impl DaskEngine {
         roots: &[DaskNodeId],
     ) -> Result<Vec<(DaskValue, MemoryReservation)>> {
         // Per-query cancellation handle: engine token plus the
-        // `LAFP_QUERY_TIMEOUT_MS` deadline (if configured).
-        let query = self.cancel.for_query();
+        // configured deadline, if any.
+        let query = match self.config.query_timeout {
+            Some(timeout) => self.cancel.with_timeout(timeout),
+            None => self.cancel.clone(),
+        };
         // Blocking helpers (sort flush, buffered drains) submitted to the
         // pool during this query observe the same handle.
         let saved_pool = Arc::clone(&self.pool);
@@ -510,7 +529,7 @@ impl DaskEngine {
         match result {
             Ok(r) => r,
             Err(payload) => {
-                lafp_columnar::faults::record_panic_isolated();
+                self.config.faults.record_panic_isolated();
                 Err(ColumnarError::WorkerPanic(panic_message(payload)))
             }
         }
@@ -798,17 +817,6 @@ impl PartitionBuffer {
 // len accumulator straight from the selected view. The only per-morsel
 // materialization is the chain's *output* — and a chain that ends in an
 // aggregation materializes nothing at all.
-
-/// `LAFP_NO_FUSE=1` disables chain fusion engine-wide (CI escape hatch).
-fn fuse_default() -> bool {
-    match std::env::var("LAFP_NO_FUSE") {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    }
-}
 
 /// One row-local step of a fused chain (the op of an absorbed node).
 enum FusedStep {
@@ -1253,7 +1261,7 @@ impl BatchRun {
                 run.install_gather(p, tracker, &engine.spill_dir);
             }
         }
-        if engine.fuse_chains {
+        if engine.config.fuse {
             run.plan_chains(engine);
         }
         Ok(run)
@@ -1416,10 +1424,10 @@ impl BatchRun {
                     engine.pipeline_scan && engine.pool.is_parallel(),
                     chain_ci,
                 ) {
-                    let cap = engine.pool.threads();
+                    let (pool, cap) = (Arc::clone(&engine.pool), engine.pool.threads());
                     let chain = Arc::clone(&self.chains[ci]);
                     let landed_chain = Arc::clone(&self.chains[ci]);
-                    let ((), (), drive) = pipeline3(
+                    let ((), (), drive) = pool.pipeline3(
                         cap,
                         move |tx: &StageChannel<Result<DataFrame>>| {
                             loop {
@@ -1469,8 +1477,8 @@ impl BatchRun {
                     // `threads` parsed-but-unconsumed chunks in flight,
                     // so a slow consumer throttles the parser instead of
                     // buffering the file.
-                    let cap = engine.pool.threads();
-                    let ((), drive) = pipeline(
+                    let (pool, cap) = (Arc::clone(&engine.pool), engine.pool.threads());
+                    let ((), drive) = pool.pipeline(
                         cap,
                         move |tx: &StageChannel<Result<DataFrame>>| {
                             loop {
@@ -1590,7 +1598,7 @@ impl BatchRun {
         // Driver-side morsel-execution injection point (the pool's
         // equivalent sits in `TaskQueue::claim`); a fired panic unwinds
         // to the `compute_batch` isolation boundary.
-        faults::inject(FaultSite::MorselExecute)?;
+        engine.config.faults.inject(FaultSite::MorselExecute)?;
         // A chain head routes the partition through the whole fused
         // chain in one pass instead of its own (unfused) arm below.
         if let Some(ci) = self.chain_by_head.get(&id).copied() {
@@ -1753,7 +1761,7 @@ impl BatchRun {
         morsel: FusedMorsel,
     ) -> Result<()> {
         self.cancel.check()?;
-        faults::inject(FaultSite::MorselExecute)?;
+        engine.config.faults.inject(FaultSite::MorselExecute)?;
         engine.fusion_stats.record_fused_morsel(part.num_rows());
         lafp_meta::fusion::global().record_fused_morsel(part.num_rows());
         let Some(t) = chain.terminal else {
@@ -3008,11 +3016,16 @@ mod tests {
         )
     }
 
+    /// An engine under the process configuration with fusion set to `fuse`.
+    fn fusing(chunk_rows: usize, threads: usize, fuse: bool) -> DaskEngine {
+        let config = ExecConfig { fuse, ..ExecConfig::from_env() }.with_threads(threads);
+        DaskEngine::with_config(MemoryTracker::unlimited(), chunk_rows, config)
+    }
+
     #[test]
     fn fused_chain_zero_intermediate_frames() {
         let path = temp_csv(300);
-        let mut fused = DaskEngine::new(MemoryTracker::unlimited(), 16);
-        fused.fuse_chains = true;
+        let mut fused = fusing(16, 0, true);
         let g = fused_query(&mut fused, &path);
         let (v, _r) = fused.compute(g).unwrap();
         let got = v.into_frame().unwrap();
@@ -3025,8 +3038,7 @@ mod tests {
             "no frame may be materialized between fused ops"
         );
 
-        let mut unfused = DaskEngine::new(MemoryTracker::unlimited(), 16);
-        unfused.fuse_chains = false;
+        let mut unfused = fusing(16, 0, false);
         let g = fused_query(&mut unfused, &path);
         let (v, _r) = unfused.compute(g).unwrap();
         let expect = v.into_frame().unwrap();
@@ -3043,8 +3055,7 @@ mod tests {
     fn adjacent_filters_collapse_into_one_selection() {
         let path = temp_csv(200);
         let run = |fuse: bool| {
-            let mut e = DaskEngine::new(MemoryTracker::unlimited(), 16);
-            e.fuse_chains = fuse;
+            let mut e = fusing(16, 0, fuse);
             let s = scan(&mut e, &path);
             let f1 = e.add(
                 DaskOp::Filter(Expr::col("fare").gt(Expr::lit_float(0.0))),
@@ -3076,8 +3087,7 @@ mod tests {
         // materialized exactly once per morsel.
         let path = temp_csv(150);
         let run = |fuse: bool| {
-            let mut e = DaskEngine::new(MemoryTracker::unlimited(), 16);
-            e.fuse_chains = fuse;
+            let mut e = fusing(16, 0, fuse);
             let s = scan(&mut e, &path);
             let f = e.add(
                 DaskOp::Filter(Expr::col("fare").ge(Expr::lit_float(-1.0))),
@@ -3112,9 +3122,8 @@ mod tests {
         // parse | chain-transform | land, versus a blocking unfused run.
         let path = temp_csv(4000);
         let run = |threads: usize, pipe: bool, fuse: bool| {
-            let mut e = DaskEngine::with_threads(MemoryTracker::unlimited(), 37, threads);
+            let mut e = fusing(37, threads, fuse);
             e.pipeline_scan = pipe;
-            e.fuse_chains = fuse;
             let g = fused_query(&mut e, &path);
             let (v, _r) = e.compute(g).unwrap();
             v.into_frame().unwrap().row_hashes(&[]).unwrap()
@@ -3131,8 +3140,7 @@ mod tests {
         // A persisted mid-chain node must keep emitting real partitions
         // for its cache, so the chain may not swallow it.
         let path = temp_csv(90);
-        let mut e = DaskEngine::new(MemoryTracker::unlimited(), 16);
-        e.fuse_chains = true;
+        let mut e = fusing(16, 0, true);
         let s = scan(&mut e, &path);
         let f = e.add(
             DaskOp::Filter(Expr::col("fare").gt(Expr::lit_float(0.0))),

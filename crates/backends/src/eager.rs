@@ -36,24 +36,15 @@ impl EagerEngine {
     /// `threads` only matters for [`BackendKind::Modin`]: the Pandas
     /// engine is single-threaded *by definition* (that is the backend it
     /// models), so it always gets one worker no matter what is
-    /// requested. For Modin, `threads = 0` means "default" and resolves
-    /// through the one shared resolver
-    /// ([`lafp_columnar::pool::resolve_threads`]): the `LAFP_THREADS`
-    /// environment variable if set, else the machine's available
-    /// parallelism — the same rule every other layer (the Dask engine,
-    /// the global pool, the bench harness) uses, so a default-threaded
-    /// Modin engine can never silently disagree with the rest of the
-    /// system about what "default" means.
+    /// requested. For Modin, `threads = 0` means the process
+    /// configuration's count ([`lafp_columnar::ExecConfig::from_env`]),
+    /// the same default every other layer uses.
     pub fn new(kind: BackendKind, tracker: Arc<MemoryTracker>, threads: usize) -> EagerEngine {
-        let pool = if kind == BackendKind::Modin {
-            WorkerPool::new(threads)
-        } else {
-            WorkerPool::sequential()
-        };
+        let threads = if kind == BackendKind::Modin { threads } else { 1 };
         EagerEngine {
             kind,
             tracker,
-            pool: Arc::new(pool),
+            pool: Arc::new(WorkerPool::new(threads)),
         }
     }
 

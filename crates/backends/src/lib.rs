@@ -28,4 +28,5 @@ pub mod memory;
 pub use dask::{DaskEngine, DaskNodeId, DaskOp, DaskValue};
 pub use eager::EagerEngine;
 pub use kind::BackendKind;
+pub use lafp_columnar::ExecConfig;
 pub use memory::{MemoryReservation, MemoryTracker};

@@ -9,7 +9,8 @@
 //! scaled 1:100, which preserves the working-set-to-budget ratios that
 //! decide success or failure.
 
-use lafp_columnar::{ColumnarError, Result};
+use lafp_columnar::faults::{FaultSite, Faults};
+use lafp_columnar::{ColumnarError, ExecConfig, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -19,15 +20,24 @@ pub struct MemoryTracker {
     current: AtomicUsize,
     peak: AtomicUsize,
     budget: usize,
+    /// The `alloc` injection plan.
+    faults: Faults,
 }
 
 impl MemoryTracker {
-    /// A tracker with the given budget in bytes.
+    /// A tracker with the given budget in bytes, under the process
+    /// configuration's fault plan ([`ExecConfig::from_env`]).
     pub fn with_budget(budget: usize) -> Arc<MemoryTracker> {
+        Self::with_config(budget, &ExecConfig::from_env())
+    }
+
+    /// A tracker with the given budget in bytes and `config`'s fault plan.
+    pub fn with_config(budget: usize, config: &ExecConfig) -> Arc<MemoryTracker> {
         Arc::new(MemoryTracker {
             current: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
             budget,
+            faults: config.faults.clone(),
         })
     }
 
@@ -64,7 +74,7 @@ impl MemoryTracker {
         // Fault injection: the `alloc` site denies an otherwise-fitting
         // charge, exercising the same degraded path as a genuine budget
         // overflow (spill, or a clean OutOfMemory error).
-        if lafp_columnar::faults::fire(lafp_columnar::faults::FaultSite::Alloc).is_some() {
+        if self.faults.fire(FaultSite::Alloc).is_some() {
             return Err(ColumnarError::OutOfMemory {
                 requested: bytes,
                 available: self.budget.saturating_sub(self.current()),

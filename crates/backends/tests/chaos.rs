@@ -6,26 +6,32 @@
 //! fault-free run or a structured [`ColumnarError`]** — never an abort,
 //! never a wrong answer — and after each query (success or failure) the
 //! memory tracker is back at zero and no spill temp file survives the
-//! engine. Plans install into the process-global registry, so this
-//! binary serializes on [`LOCK`].
+//! engine. Each query's engine, tracker and scans are built from one
+//! [`ExecConfig`] carrying the plan, so the tests run in parallel.
 
 use lafp_backends::dask::{DaskEngine, DaskNodeId, DaskOp, DaskValue};
-use lafp_backends::MemoryTracker;
+use lafp_backends::{ExecConfig, MemoryTracker};
 use lafp_columnar::column::ArithOp;
 use lafp_columnar::csv::CsvOptions;
 use lafp_columnar::encoding;
-use lafp_columnar::faults::{self, FaultPlan, FaultSite};
+use lafp_columnar::faults::{FaultPlan, FaultSite, Faults};
 use lafp_columnar::groupby::GroupBySpec;
 use lafp_columnar::sort::SortOptions;
 use lafp_columnar::{AggKind, ColumnarError, HeapSize};
 use lafp_expr::Expr;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
-static LOCK: Mutex<()> = Mutex::new(());
+/// Four workers under the process configuration, firing `plan` instead
+/// of its own (the default plan fires nothing).
+fn config(plan: FaultPlan) -> ExecConfig {
+    ExecConfig { faults: Faults::new(plan), ..ExecConfig::from_env() }.with_threads(4)
+}
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// An engine whose tracker, pool, spill dir and scans all use `config`.
+fn engine(budget: usize, chunk_rows: usize, config: &ExecConfig) -> DaskEngine {
+    let tracker = MemoryTracker::with_config(budget, config);
+    DaskEngine::with_config(tracker, chunk_rows, config.clone())
 }
 
 fn temp_csv(tag: &str, rows: usize) -> PathBuf {
@@ -50,7 +56,7 @@ fn scan(e: &mut DaskEngine, path: &Path) -> DaskNodeId {
     e.add(
         DaskOp::ReadCsv {
             path: path.to_path_buf(),
-            options: CsvOptions::new(),
+            options: CsvOptions { exec: e.config().clone(), ..CsvOptions::new() },
             limit: None,
         },
         vec![],
@@ -68,20 +74,12 @@ fn fingerprint(v: &DaskValue) -> String {
     }
 }
 
-/// The engine's spill dirs live under the system temp dir, named
-/// `lafp-spill-<pid>-<n>`. Any such dir still on disk means a leak.
-fn leaked_spill_dirs() -> Vec<PathBuf> {
-    let prefix = format!("lafp-spill-{}-", std::process::id());
-    std::fs::read_dir(std::env::temp_dir())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix))
-        })
-        .collect()
+/// Drop `e` and check that none of its spill roots survives it.
+fn drop_without_leaks(e: DaskEngine) {
+    let roots = e.spill_roots();
+    drop(e);
+    let leaked: Vec<_> = roots.iter().filter(|r| r.exists()).collect();
+    assert!(leaked.is_empty(), "spill dirs leaked: {leaked:?}");
 }
 
 /// The workload: one builder per query, exercising the chain-fused scan
@@ -159,13 +157,15 @@ const WORKLOAD: &[(&str, Build, &[usize])] = &[
     ("reduce", q_reduce, &[usize::MAX]),
 ];
 
-fn run_query(budget: usize, build: Build, a: &Path, b: &Path) -> Result<String, ColumnarError> {
-    let tracker = if budget == usize::MAX {
-        MemoryTracker::unlimited()
-    } else {
-        MemoryTracker::with_budget(budget)
-    };
-    let mut e = DaskEngine::with_threads(Arc::clone(&tracker), 33, 4);
+fn run_query(
+    budget: usize,
+    build: Build,
+    a: &Path,
+    b: &Path,
+    config: &ExecConfig,
+) -> Result<String, ColumnarError> {
+    let mut e = engine(budget, 33, config);
+    let tracker = Arc::clone(e.tracker());
     let root = build(&mut e, a, b);
     let out = e.compute(root).map(|(v, r)| {
         let fp = fingerprint(&v);
@@ -173,7 +173,7 @@ fn run_query(budget: usize, build: Build, a: &Path, b: &Path) -> Result<String, 
         drop(r);
         fp
     });
-    drop(e);
+    drop_without_leaks(e);
     assert_eq!(
         tracker.current(),
         0,
@@ -188,7 +188,6 @@ fn run_query(budget: usize, build: Build, a: &Path, b: &Path) -> Result<String, 
 /// leaked spill dirs and a zeroed tracker.
 #[test]
 fn chaos_differential_result_or_structured_error() {
-    let _l = lock();
     let a = temp_csv("chaos-a", 900);
     let b = temp_csv("chaos-b", 400);
     // Squeezed budget so sort/merge genuinely spill: derive from the
@@ -201,22 +200,21 @@ fn chaos_differential_result_or_structured_error() {
     let resolve = |b: usize| if b == 0 { squeezed } else { b };
 
     // Fault-free baselines (one per budget class).
+    let fault_free = config(FaultPlan::new(0));
     let mut baseline = std::collections::HashMap::new();
     for &(name, build, budgets) in WORKLOAD {
         for &budget in budgets {
-            let fp = run_query(resolve(budget), build, &a, &b)
+            let fp = run_query(resolve(budget), build, &a, &b, &fault_free)
                 .unwrap_or_else(|e| panic!("{name} fault-free failed: {e}"));
             baseline.insert((name, budget), fp);
         }
     }
-    assert!(leaked_spill_dirs().is_empty(), "fault-free runs leaked");
 
     let mut injected_total = 0u64;
     let mut errored = 0usize;
     let mut matched = 0usize;
     for seed in [42u64, 1337, 7] {
-        faults::stats().reset();
-        let _g = faults::install(
+        let chaos = config(
             FaultPlan::new(seed)
                 .with(FaultSite::SpillWrite, 0.05)
                 .with(FaultSite::SpillRead, 0.05)
@@ -226,7 +224,7 @@ fn chaos_differential_result_or_structured_error() {
         );
         for &(name, build, budgets) in WORKLOAD {
             for &budget in budgets {
-                match run_query(resolve(budget), build, &a, &b) {
+                match run_query(resolve(budget), build, &a, &b, &chaos) {
                     Ok(fp) => {
                         assert_eq!(
                             &fp, &baseline[&(name, budget)],
@@ -239,13 +237,9 @@ fn chaos_differential_result_or_structured_error() {
                     // invariants. Reaching here at all means no abort.
                     Err(_) => errored += 1,
                 }
-                assert!(
-                    leaked_spill_dirs().is_empty(),
-                    "seed {seed}, query {name}: leaked spill dirs"
-                );
             }
         }
-        injected_total += faults::stats().snapshot().total_injected();
+        injected_total += chaos.faults.snapshot().total_injected();
     }
     assert!(
         injected_total > 0,
@@ -262,30 +256,33 @@ fn chaos_differential_result_or_structured_error() {
 /// same engine then runs the next query successfully.
 #[test]
 fn injected_panic_fails_one_query_engine_survives() {
-    let _l = lock();
     let a = temp_csv("panic", 300);
-    let tracker = MemoryTracker::unlimited();
-    let mut e = DaskEngine::with_threads(Arc::clone(&tracker), 33, 4);
-    {
-        let _g = faults::install(FaultPlan::new(8).with(FaultSite::MorselExecute, 1.0));
-        let root = q_filter_groupby(&mut e, &a, &a);
-        let err = e.compute(root).unwrap_err();
-        assert!(
-            matches!(err, ColumnarError::WorkerPanic(ref m) if m.contains("injected")),
-            "got {err:?}"
-        );
-    }
-    assert_eq!(tracker.current(), 0, "failed query must release its memory");
-    // Disarmed: the SAME engine computes the next query.
+    // At p = 0.001, seed 48614 fires its first `worker_panic` draw and
+    // none of the next 4999: the first query fails, the rest run clean.
+    let plan = FaultPlan::new(48614).with(FaultSite::MorselExecute, 0.001);
+    let probe = Faults::new(plan.clone());
+    let fired: Vec<bool> = (0..5000)
+        .map(|_| probe.fire(FaultSite::MorselExecute).is_some())
+        .collect();
+    assert!(fired[0] && !fired[1..].contains(&true), "the draw scheme changed");
+    let poisoned = config(plan);
+    let mut e = engine(usize::MAX, 33, &poisoned);
+    let root = q_filter_groupby(&mut e, &a, &a);
+    let err = e.compute(root).unwrap_err();
+    assert!(
+        matches!(err, ColumnarError::WorkerPanic(ref m) if m.contains("injected")),
+        "got {err:?}"
+    );
+    assert_eq!(e.tracker().current(), 0, "failed query must release its memory");
+    // The SAME engine computes the next query.
     let root = q_filter_groupby(&mut e, &a, &a);
     let (v, _r) = e.compute(root).unwrap();
     assert!(matches!(v, DaskValue::Frame(_)));
-    assert!(faults::stats().snapshot().panics_isolated > 0);
+    assert!(poisoned.faults.snapshot().panics_isolated > 0);
 }
 
 #[test]
 fn cancel_token_aborts_query_cleanly() {
-    let _l = lock();
     let a = temp_csv("cancel", 500);
     let tracker = MemoryTracker::unlimited();
     let mut e = DaskEngine::with_threads(Arc::clone(&tracker), 33, 4);
@@ -303,30 +300,31 @@ fn cancel_token_aborts_query_cleanly() {
 
 #[test]
 fn zero_query_timeout_trips_deterministically() {
-    let _l = lock();
     let a = temp_csv("timeout", 500);
-    std::env::set_var("LAFP_QUERY_TIMEOUT_MS", "0");
-    let mut e = DaskEngine::with_threads(MemoryTracker::unlimited(), 33, 4);
+    let config = ExecConfig {
+        query_timeout: Some(std::time::Duration::ZERO),
+        ..ExecConfig::from_env()
+    };
+    let config = config.with_threads(4);
+    let mut e = engine(usize::MAX, 33, &config);
     let root = q_reduce(&mut e, &a, &a);
-    let result = e.compute(root);
-    std::env::remove_var("LAFP_QUERY_TIMEOUT_MS");
-    let err = result.unwrap_err();
+    let err = e.compute(root).unwrap_err();
     assert!(matches!(err, ColumnarError::Cancelled(_)), "got {err:?}");
-    // A tripped deadline latches the shared flag (so siblings fail fast
-    // too); recovery is an explicit fresh token, same as after cancel().
-    e.set_cancel_token(lafp_columnar::CancelToken::new());
+    // A tripped deadline latches the engine's shared flag, so siblings
+    // fail fast too.
+    assert!(e.cancel_token().is_cancelled());
+    // The same query under a config without the deadline runs.
+    let mut e = engine(usize::MAX, 33, &ExecConfig { query_timeout: None, ..config });
     let root = q_reduce(&mut e, &a, &a);
     assert!(e.compute(root).is_ok());
 }
 
 #[test]
 fn meta_facade_reaches_the_same_registry() {
-    let _l = lock();
-    let _g = lafp_meta::faults::install(
+    let faults = lafp_meta::faults::Faults::new(
         lafp_meta::faults::FaultPlan::new(11).with(lafp_meta::faults::FaultSite::Alloc, 1.0),
     );
-    assert!(faults::fire(FaultSite::Alloc).is_some());
-    let t = MemoryTracker::with_budget(1 << 20);
+    let t = MemoryTracker::with_config(1 << 20, &ExecConfig { faults, ..ExecConfig::default() });
     let err = t.charge(16).unwrap_err();
     assert!(matches!(err, ColumnarError::OutOfMemory { .. }), "{err:?}");
 }
@@ -360,7 +358,6 @@ fn temp_tag_csv(rows: usize) -> PathBuf {
 /// failure under a squeezed budget must drain the tracker to zero.
 #[test]
 fn dict_encoded_column_under_chaos() {
-    let _l = lock();
     let path = temp_tag_csv(2 * encoding::DICT_MIN_ROWS + 300);
     let chunk = encoding::DICT_MIN_ROWS + 24; // chunks big enough to encode
     let build = |e: &mut DaskEngine| {
@@ -378,8 +375,9 @@ fn dict_encoded_column_under_chaos() {
     // Fault-free baseline; counters are snapshotted before the
     // fingerprint so only ingest + group-by are measured.
     encoding::global().reset();
-    let tracker = MemoryTracker::unlimited();
-    let mut e = DaskEngine::with_threads(Arc::clone(&tracker), chunk, 4);
+    let fault_free = config(FaultPlan::new(0));
+    let mut e = engine(usize::MAX, chunk, &fault_free);
+    let tracker = Arc::clone(e.tracker());
     let root = build(&mut e);
     let (v, _r) = e.compute(root).unwrap();
     let snap = encoding::global().snapshot();
@@ -388,7 +386,7 @@ fn dict_encoded_column_under_chaos() {
     assert_eq!(tracker.current(), 0);
     // `LAFP_NO_ENCODE=1` turns ingest encoding off; the chaos half of
     // the test still runs on the plain column.
-    if encoding::enabled() {
+    if fault_free.encode {
         assert!(
             snap.dict_columns > 0,
             "ingest must dictionary-encode the low-cardinality tag column"
@@ -402,15 +400,15 @@ fn dict_encoded_column_under_chaos() {
     // The same query under seeded fault injection: baseline answer or
     // structured error, tracker zeroed either way (run per query below).
     for seed in [42u64, 1337, 7] {
-        let _g = faults::install(
+        let chaos = config(
             FaultPlan::new(seed)
                 .with(FaultSite::SpillWrite, 0.05)
                 .with(FaultSite::SpillRead, 0.05)
                 .with(FaultSite::CsvRead, 0.01)
                 .with(FaultSite::MorselExecute, 0.005),
         );
-        let tracker = MemoryTracker::unlimited();
-        let mut e = DaskEngine::with_threads(Arc::clone(&tracker), chunk, 4);
+        let mut e = engine(usize::MAX, chunk, &chaos);
+        let tracker = Arc::clone(e.tracker());
         let root = build(&mut e);
         // A structured error is an accepted outcome; success must match.
         if let Ok((v, _r)) = e.compute(root) {
@@ -420,31 +418,28 @@ fn dict_encoded_column_under_chaos() {
                 "seed {seed}: survived faults but answered wrong"
             );
         }
-        drop(e);
+        drop_without_leaks(e);
         assert_eq!(tracker.current(), 0, "seed {seed}: tracker must drain");
     }
 
     // Forced spill failure: a squeezed budget makes the blocking sort
     // spill, every spill write faults, and the query must fail with a
     // structured error while the tracker still drains to zero.
-    let mut probe = DaskEngine::new(MemoryTracker::unlimited(), chunk);
+    let mut probe = engine(usize::MAX, chunk, &fault_free);
     let s = scan(&mut probe, &path);
     let (full, _r) = probe.gather(s).unwrap();
     let squeezed = full.heap_size() / 2;
     drop((full, _r, probe));
-    let tracker = MemoryTracker::with_budget(squeezed);
-    let mut e = DaskEngine::with_threads(Arc::clone(&tracker), 64, 4);
+    let doomed = config(FaultPlan::new(5).with(FaultSite::SpillWrite, 1.0));
+    let mut e = engine(squeezed, 64, &doomed);
+    let tracker = Arc::clone(e.tracker());
     let s = scan(&mut e, &path);
     let so = e.add(DaskOp::Sort(SortOptions::single("fare", false)), vec![s]);
     let root = e.add(DaskOp::Head(64), vec![so]);
-    faults::stats().reset();
-    let err = {
-        let _g = faults::install(FaultPlan::new(5).with(FaultSite::SpillWrite, 1.0));
-        e.compute(root).unwrap_err()
-    };
-    drop(e);
+    let err = e.compute(root).unwrap_err();
+    drop_without_leaks(e);
     assert!(
-        faults::stats().snapshot().total_injected() > 0,
+        doomed.faults.snapshot().total_injected() > 0,
         "the forced spill fault never fired"
     );
     assert_eq!(
@@ -452,5 +447,4 @@ fn dict_encoded_column_under_chaos() {
         0,
         "tracker must return to zero after an injected spill failure ({err})"
     );
-    assert!(leaked_spill_dirs().is_empty(), "spill failure leaked dirs");
 }

@@ -2,15 +2,15 @@
 //! streaming executor.
 //!
 //! Every case builds the same Dask graph twice per thread count (1, 2
-//! and 8 workers) — once with `fuse_chains` on, once off — and demands
-//! bit-identical results (frames compared by ordered row hashes, so
-//! partition arrival order is part of the contract). The cases cover
+//! and 8 workers) — once with `ExecConfig::fuse` on, once off — and
+//! demands bit-identical results (frames compared by ordered row hashes,
+//! so partition arrival order is part of the contract). The cases cover
 //! the hostile corners from the PR checklist: null-heavy columns, empty
 //! morsels, head limits stopping a chain mid-partition, and a chain
 //! running under a squeezed spill budget.
 
 use lafp_backends::dask::{DaskEngine, DaskNodeId, DaskOp, DaskValue};
-use lafp_backends::MemoryTracker;
+use lafp_backends::{ExecConfig, MemoryTracker};
 use lafp_columnar::column::{ArithOp, Column};
 use lafp_columnar::csv::CsvOptions;
 use lafp_columnar::df;
@@ -109,8 +109,8 @@ fn assert_differential(
     let mut reference: Option<String> = None;
     for &threads in THREADS {
         for fuse in [false, true] {
-            let mut e = DaskEngine::with_threads(tracker(), CHUNK_ROWS, threads);
-            e.fuse_chains = fuse;
+            let config = ExecConfig { fuse, ..ExecConfig::from_env() }.with_threads(threads);
+            let mut e = DaskEngine::with_config(tracker(), CHUNK_ROWS, config);
             let root = build(&mut e);
             let (v, _r) = e.compute(root).unwrap();
             let got = fingerprint(v);

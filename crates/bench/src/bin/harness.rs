@@ -80,7 +80,7 @@ fn run_kernel_bench(args: &[String]) {
             ),
         }
     }
-    let threads = lafp_columnar::pool::resolve_threads(threads);
+    let threads = lafp_columnar::ExecConfig::from_env().with_threads(threads).threads;
     // PR number for the artifact metadata: --pr wins, else it is parsed
     // from a BENCH_PR<N>.json file name, else 0 (unlabeled run).
     let pr = pr.unwrap_or_else(|| {

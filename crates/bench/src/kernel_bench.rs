@@ -22,7 +22,7 @@ use lafp_columnar::groupby::{group_by, group_by_par, AggKind, GroupBySpec};
 use lafp_columnar::join::{merge, merge_par, JoinKind};
 use lafp_columnar::pool::WorkerPool;
 use lafp_columnar::sort::{nlargest, sort_values, sort_values_par, top_k, SortOptions};
-use lafp_columnar::{Bitmap, Column, DType, DataFrame, Scalar, Series};
+use lafp_columnar::{Bitmap, Column, DType, DataFrame, ExecConfig, Scalar, Series};
 use lafp_expr::Expr;
 use lafp_oracle::equiv::{assert_col_equiv, assert_frame_close, assert_frame_equiv};
 use lafp_oracle::reference::{
@@ -101,9 +101,9 @@ pub struct PipelineBenchResult {
 pub struct FusionBenchResult {
     /// Query name.
     pub name: String,
-    /// Best-of-N wall time with `fuse_chains` off (one frame per op).
+    /// Best-of-N wall time with `ExecConfig::fuse` off (one frame per op).
     pub unfused_ms: f64,
-    /// Best-of-N wall time with the chain fused (`fuse_chains` on).
+    /// Best-of-N wall time with the chain fused (`ExecConfig::fuse` on).
     pub fused_ms: f64,
     /// Worker count of the engine pool (both sides).
     pub threads: usize,
@@ -1059,7 +1059,7 @@ pub fn run_pipeline_suite(rows: usize, iters: usize, threads: usize) -> Vec<Pipe
 // ---------------------------------------------------------------------------
 
 /// Run streaming Dask queries with maximal row-local operator runs fused
-/// into a single pass per morsel (`fuse_chains = true`, the default) vs
+/// into a single pass per morsel (`ExecConfig::fuse`, on by default) vs
 /// the one-intermediate-frame-per-operator schedule, on the same engine
 /// pool. The source is a pre-materialized frame scattered into morsels
 /// (`FromFrame`), so the race times the chains themselves rather than
@@ -1188,8 +1188,8 @@ pub fn run_fusion_suite(rows: usize, iters: usize, threads: usize) -> Vec<Fusion
         }
     };
     let run = |query: &str, fused: bool| -> String {
-        let mut e = DaskEngine::with_threads(MemoryTracker::unlimited(), chunk_rows, threads);
-        e.fuse_chains = fused;
+        let config = ExecConfig { fuse: fused, ..ExecConfig::from_env() }.with_threads(threads);
+        let mut e = DaskEngine::with_config(MemoryTracker::unlimited(), chunk_rows, config);
         let root = build(&mut e, query);
         let (v, _r) = e.compute(root).unwrap();
         if fused {

@@ -123,7 +123,7 @@ fn generated_edge_cases_match_reference() {
         let path = dir.join(format!("case{case}-{}.csv", std::process::id()));
         write_case(&path, &mut rng, rows);
         check(&path, &format!("case {case} ({rows} rows)"));
-        if rows >= 2_000 && lafp_columnar::encoding::enabled() {
+        if rows >= 2_000 && lafp_columnar::ExecConfig::from_env().encode {
             // The low-cardinality string column reached the scan encoded.
             let mut reader = CsvChunkReader::open(&path, &CsvOptions::new(), 16_384).unwrap();
             let chunk = reader.next_chunk().unwrap().unwrap();

@@ -13,8 +13,10 @@
 //! - **Caller-side cancellation** — [`CancelToken::cancel`] flips a
 //!   shared flag; every clone observes it.
 //! - **Deadline** — [`CancelToken::with_timeout`] derives a per-query
-//!   child that also trips once the deadline passes
-//!   (`LAFP_QUERY_TIMEOUT_MS` wires this from the environment).
+//!   child that also trips once the deadline passes (the Dask engine
+//!   derives one per query from [`ExecConfig::query_timeout`]).
+//!
+//! [`ExecConfig::query_timeout`]: crate::ExecConfig::query_timeout
 //!
 //! Both surface as [`ColumnarError::Cancelled`] with a message saying
 //! which trigger fired.
@@ -81,20 +83,6 @@ impl CancelToken {
             }),
         }
     }
-
-    /// Derive the per-query token: this handle plus the
-    /// `LAFP_QUERY_TIMEOUT_MS` deadline if the variable is set (and
-    /// parses; `0` means "already expired", useful for deterministic
-    /// timeout tests).
-    pub fn for_query(&self) -> CancelToken {
-        match std::env::var("LAFP_QUERY_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-        {
-            Some(ms) => self.with_timeout(Duration::from_millis(ms)),
-            None => self.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,16 +129,5 @@ mod tests {
         let t = CancelToken::new().with_timeout(Duration::from_millis(0));
         let child = t.with_timeout(Duration::from_secs(3600));
         assert!(child.check().is_err(), "parent deadline is tighter");
-    }
-
-    #[test]
-    fn for_query_reads_env() {
-        // Env mutation is process-global; this test owns the variable.
-        std::env::set_var("LAFP_QUERY_TIMEOUT_MS", "0");
-        let q = CancelToken::new().for_query();
-        std::env::remove_var("LAFP_QUERY_TIMEOUT_MS");
-        assert!(q.check().is_err());
-        let q2 = CancelToken::new().for_query();
-        assert!(q2.check().is_ok());
     }
 }

@@ -1400,6 +1400,12 @@ impl Column {
                 }
                 Ok(Column::Float64(out, validity()))
             }
+            // A category (dtype differs from Utf8): one gather off the
+            // dictionary, after expanding runs.
+            (Column::Dict(..), DType::Utf8) => self.to_utf8(),
+            (Column::Rle(_), DType::Utf8) if self.dtype() == DType::Categorical => {
+                self.decode().to_utf8()
+            }
             _ => {
                 let mut b = ColumnBuilder::new(target);
                 for i in 0..self.len() {

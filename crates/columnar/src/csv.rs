@@ -22,13 +22,14 @@ use crate::error::{ColumnarError, Result};
 use crate::frame::DataFrame;
 use crate::series::Series;
 use crate::value::parse_datetime;
+use crate::ExecConfig;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Options accepted by [`read_csv`] (a subset of pandas `read_csv`).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct CsvOptions {
     /// Read only these columns (pandas `usecols`). Order in the output
     /// follows the file header order, like pandas.
@@ -39,13 +40,17 @@ pub struct CsvOptions {
     pub parse_dates: Vec<String>,
     /// Rows to sample for dtype inference (default 1000).
     pub infer_rows: usize,
+    /// The reader's ingest encoding switch and `csv_read` fault plan.
+    pub exec: ExecConfig,
 }
 
 impl CsvOptions {
-    /// Default options.
+    /// Default options, under the process configuration
+    /// ([`ExecConfig::from_env`]).
     pub fn new() -> CsvOptions {
         CsvOptions {
             infer_rows: 1000,
+            exec: ExecConfig::from_env(),
             ..Default::default()
         }
     }
@@ -470,8 +475,8 @@ pub fn quote_field(field: &str) -> String {
 
 /// Fire the `csv_read` injection point, attaching the file path to the
 /// synthetic error (see [`faults`](crate::faults)).
-fn inject_csv(path: &Path) -> Result<()> {
-    crate::faults::inject_io(crate::faults::FaultSite::CsvRead).map_err(|e| io_error(path, e))
+fn inject_csv(exec: &ExecConfig, path: &Path) -> Result<()> {
+    exec.faults.inject_io(crate::faults::FaultSite::CsvRead).map_err(|e| io_error(path, e))
 }
 
 /// Split the header line (terminator included or not).
@@ -609,7 +614,7 @@ pub fn read_csv_par(
     if !pool.is_parallel() {
         return read_csv(path, options);
     }
-    inject_csv(path)?;
+    inject_csv(&options.exec, path)?;
     // Size-gate on metadata before buffering the file, so small files
     // are read once (by the streaming reader), not twice.
     let file_bytes = std::fs::metadata(path)
@@ -659,7 +664,7 @@ pub fn read_csv_par(
         let mut pieces = pieces.into_iter();
         let mut acc = pieces.next()?;
         pieces.for_each(|b| acc.append(b));
-        Some(finish_encoded(acc))
+        Some(finish_encoded(acc, options.exec.encode))
     });
     let series = keep
         .iter()
@@ -691,6 +696,8 @@ pub struct CsvChunkReader {
     keep: Vec<usize>,
     /// dtype per kept column.
     dtypes: Vec<DType>,
+    /// The options' configuration (ingest encoding, `csv_read` faults).
+    exec: ExecConfig,
 }
 
 impl CsvChunkReader {
@@ -709,7 +716,7 @@ impl CsvChunkReader {
         chunk_rows: usize,
         block: usize,
     ) -> Result<CsvChunkReader> {
-        inject_csv(path)?;
+        inject_csv(&options.exec, path)?;
         let (mut stream, header) = RecordStream::open(path, block)?;
         let keep = resolve_usecols(&header, options, path)?;
         stream.tok = Tokenizer::new(path, header.len(), &keep, 1);
@@ -724,6 +731,7 @@ impl CsvChunkReader {
             header,
             keep,
             dtypes,
+            exec: options.exec.clone(),
         })
     }
 
@@ -753,7 +761,7 @@ impl CsvChunkReader {
 
     /// Read the next chunk; `None` when the file is exhausted.
     pub fn next_chunk(&mut self) -> Result<Option<DataFrame>> {
-        inject_csv(&self.stream.tok.path)?;
+        inject_csv(&self.exec, &self.stream.tok.path)?;
         let mut builders: Vec<ColumnBuilder> =
             self.dtypes.iter().map(|&dt| ColumnBuilder::new(dt)).collect();
         for b in &mut builders {
@@ -774,19 +782,22 @@ impl CsvChunkReader {
             .keep
             .iter()
             .zip(builders)
-            .map(|(&i, b)| Series::new(self.header[i].clone(), finish_encoded(b)))
+            .map(|(&i, b)| Series::new(self.header[i].clone(), finish_encoded(b, self.exec.encode)))
             .collect();
         Ok(Some(DataFrame::new(series)?))
     }
 }
 
 /// Finish a builder, dictionary-encoding low-cardinality string columns
-/// at ingest (the decision layer in [`crate::encoding`] gates on row
-/// count, cardinality, and actual byte shrink; `LAFP_NO_ENCODE=1`
-/// disables it).
-fn finish_encoded(b: ColumnBuilder) -> crate::Column {
+/// at ingest when `encode` is set (the decision layer in
+/// [`crate::encoding`] gates on row count, cardinality, and actual byte
+/// shrink).
+fn finish_encoded(b: ColumnBuilder, encode: bool) -> crate::Column {
     let col = b.finish();
-    crate::encoding::dict_encode_auto(&col).unwrap_or(col)
+    match encode {
+        true => crate::encoding::dict_encode_auto(&col).unwrap_or(col),
+        false => col,
+    }
 }
 
 /// Parse one raw field into `builder` as `dtype` (empty string = null).

@@ -13,9 +13,10 @@
 //!   column is big enough to matter, the cardinality is low, and the
 //!   encoded representation is actually smaller. [`dict_encode`] and
 //!   [`rle_encode`] are the unconditional constructors used by tests and
-//!   benchmarks. `LAFP_NO_ENCODE=1` (checked per call, like
-//!   `LAFP_NO_FUSE`) disables auto-encoding entirely so every pipeline
-//!   can be exercised on plain columns.
+//!   benchmarks. The CSV readers apply the heuristic only when their
+//!   options' [`ExecConfig::encode`](crate::ExecConfig::encode) is set
+//!   (`LAFP_NO_ENCODE=1` clears it), so every pipeline can be exercised
+//!   on plain columns.
 //! - **Telemetry.** Process-wide counters record how many columns were
 //!   encoded, how many bytes that saved, and — crucially for the
 //!   acceptance tests — how many times a kernel fell back to
@@ -48,16 +49,6 @@ pub const DICT_MIN_ROWS: usize = 1024;
 /// fast path (which allocates one dense slot per dictionary entry)
 /// stops being a win.
 pub const DICT_MAX_CARDINALITY: usize = 65_536;
-
-/// True unless `LAFP_NO_ENCODE=1` disables ingest-time auto-encoding.
-/// Checked per call (same contract as the `LAFP_NO_FUSE` fusion gate) so
-/// tests can flip it without rebuilding readers.
-pub fn enabled() -> bool {
-    !matches!(
-        std::env::var("LAFP_NO_ENCODE").ok().as_deref(),
-        Some("1") | Some("true")
-    )
-}
 
 /// Cumulative encoding counters (process-wide; see [`global`]).
 #[derive(Debug, Default)]
@@ -157,12 +148,9 @@ pub(crate) fn build_dict(
 ) -> Option<(Vec<u32>, Utf8Col)> {
     let rows = values.len();
     let mut codes = Vec::with_capacity(rows);
-    // Capped builds pre-size for the cap; an uncapped build grows with
-    // the distinct count, so a small dictionary stays small.
-    let mut builder = match cap {
-        Some(cap) => Utf8Builder::with_capacity(cap.min(rows), 0),
-        None => Utf8Builder::new(),
-    };
+    // The dictionary grows with the distinct count, capped or not, so a
+    // small dictionary stays small (its offset capacity is charged).
+    let mut builder = Utf8Builder::new();
     // fnv hash of entry bytes -> candidate codes (collision list).
     let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
     // Entry bytes live in `values`' arena for valid rows; remember each
@@ -205,9 +193,8 @@ pub(crate) fn build_dict(
 /// Dictionary-encode a string column unconditionally (subject only to
 /// the [`DICT_MAX_CARDINALITY`] cap). Returns `None` for non-string
 /// columns, columns that blow the cap, and already-encoded columns.
-/// Does not consult [`enabled`] and does not touch the counters —
-/// callers that represent real ingest decisions go through
-/// [`dict_encode_auto`].
+/// Does not touch the counters — callers that represent real ingest
+/// decisions go through [`dict_encode_auto`].
 pub fn dict_encode(col: &Column) -> Option<Column> {
     let (values, validity) = match col {
         Column::Utf8(v, validity) => (v, validity.as_ref()),
@@ -229,12 +216,8 @@ pub fn dict_encode(col: &Column) -> Option<Column> {
 /// under both [`DICT_MAX_CARDINALITY`] and a quarter of the row count,
 /// and whose encoded form is strictly smaller than the plain arena.
 /// Records the encode (and bytes saved) in the global counters.
-/// Returns `None` when the column should stay plain — including always
-/// when `LAFP_NO_ENCODE=1`.
+/// Returns `None` when the column should stay plain.
 pub fn dict_encode_auto(col: &Column) -> Option<Column> {
-    if !enabled() {
-        return None;
-    }
     let (values, validity) = match col {
         Column::Utf8(v, validity) => (v, validity.as_ref()),
         _ => return None,
@@ -266,8 +249,7 @@ pub fn dict_encode_auto(col: &Column) -> Option<Column> {
 /// ints, floats, bools, datetimes, even dictionary codes. Returns
 /// `None` for columns that are already encoded, for empty columns, and
 /// for columns where RLE would not shrink the representation (more than
-/// half the rows start a new run). Does not touch the counters; use
-/// [`rle_encode_auto`] for ingest decisions.
+/// half the rows start a new run). Does not touch the counters.
 pub fn rle_encode(col: &Column) -> Option<Column> {
     if col.is_encoded() {
         return None;
@@ -302,19 +284,6 @@ pub fn rle_encode(col: &Column) -> Option<Column> {
         values: Box::new(values),
         ends,
     }))
-}
-
-/// [`rle_encode`] behind the [`enabled`] gate, recording bytes saved in
-/// the global counters when the encode happens.
-pub fn rle_encode_auto(col: &Column) -> Option<Column> {
-    if !enabled() {
-        return None;
-    }
-    let encoded = rle_encode(col)?;
-    let plain = crate::HeapSize::heap_size(col) as u64;
-    let packed = crate::HeapSize::heap_size(&encoded) as u64;
-    global().record_rle(plain.saturating_sub(packed));
-    Some(encoded)
 }
 
 #[cfg(test)]
@@ -423,17 +392,40 @@ mod tests {
 
     #[test]
     fn no_encode_env_disables_auto() {
-        // Serialized via the env-var guard in csv tests; here we only
-        // check the pure predicate logic by restoring the prior value.
-        let prior = std::env::var("LAFP_NO_ENCODE").ok();
-        std::env::set_var("LAFP_NO_ENCODE", "1");
-        assert!(!enabled());
-        let vals: Vec<String> = (0..2000).map(|i| format!("c{}", i % 3)).collect();
-        assert!(dict_encode_auto(&Column::from_strings(&vals)).is_none());
-        match prior {
-            Some(v) => std::env::set_var("LAFP_NO_ENCODE", v),
-            None => std::env::remove_var("LAFP_NO_ENCODE"),
-        }
-        assert!(enabled() || std::env::var("LAFP_NO_ENCODE").is_ok());
+        // `LAFP_NO_ENCODE=1` clears `ExecConfig::encode`; the CSV readers
+        // then leave a low-cardinality column plain.
+        let path = std::env::temp_dir().join(format!("lafp-no-encode-{}.csv", std::process::id()));
+        let body: String = (0..2000).map(|i| format!("{i},c{}\n", i % 3)).collect();
+        std::fs::write(&path, format!("n,city\n{body}")).unwrap();
+        let read = |encode| {
+            let options = crate::csv::CsvOptions {
+                exec: crate::ExecConfig {
+                    encode,
+                    ..crate::ExecConfig::default()
+                },
+                ..crate::csv::CsvOptions::new()
+            };
+            let frame = crate::csv::read_csv(&path, &options).unwrap();
+            frame.column("city").unwrap().column().is_encoded()
+        };
+        assert!(read(true), "low cardinality encodes at ingest");
+        assert!(!read(false), "encode off keeps the column plain");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn capped_dictionary_is_charged_like_an_uncapped_one() {
+        let vals: Vec<String> = (0..100_000).map(|i| format!("city-{}", i % 10)).collect();
+        let col = Column::from_strings(&vals);
+        let Column::Utf8(values, _) = &col else {
+            unreachable!()
+        };
+        let (codes, uncapped) = build_dict(values, None, None).unwrap();
+        let auto = dict_encode_auto(&col).expect("auto-encodes");
+        assert_eq!(
+            crate::HeapSize::heap_size(&auto),
+            codes.capacity() * 4 + uncapped.heap_bytes(),
+            "a capped build must not charge offsets for the cap"
+        );
     }
 }

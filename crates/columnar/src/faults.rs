@@ -3,7 +3,7 @@
 //! A production engine must treat failure as data: a panicking morsel, a
 //! full spill disk, or a corrupt spill file should fail *one query* with
 //! a structured [`ColumnarError`], never the process. This module is how
-//! that property gets tested: a seeded registry of **injection points**
+//! that property gets tested: a seeded plan of **injection points**
 //! fires synthetic faults at the executor's I/O and execution boundaries
 //! so the recovery paths (pool panic isolation, spill retry/fallback,
 //! pipeline hang-up cascades) run constantly under test instead of only
@@ -11,16 +11,22 @@
 //!
 //! ## Configuration
 //!
-//! The registry is armed from the `LAFP_FAULTS` environment variable —
-//! a comma-separated list of `site:probability` pairs plus an optional
-//! `seed`:
+//! A plan is part of the engine configuration: [`ExecConfig::from_env`]
+//! parses the `LAFP_FAULTS` environment variable — a comma-separated
+//! list of `site:probability` pairs plus an optional `seed`:
 //!
 //! ```text
 //! LAFP_FAULTS=spill_write:0.05,worker_panic:0.01,seed=42
 //! ```
 //!
-//! or programmatically with [`FaultPlan`] + [`install`] (tests use this;
-//! the returned [`FaultGuard`] restores the previous plan on drop).
+//! or a test builds one with [`FaultPlan`] and puts `Faults::new(plan)`
+//! in the [`ExecConfig`] it passes to the owners under test. Every owner
+//! of an injection site holds a [`Faults`] handle: plans never leak
+//! between owners built from different configs.
+//!
+//! [`ExecConfig`]: crate::ExecConfig
+//! [`ExecConfig::from_env`]: crate::ExecConfig::from_env
+//!
 //! Sites and their default fault shapes:
 //!
 //! | key              | fires at                         | shape                          |
@@ -35,13 +41,13 @@
 //! ## Determinism
 //!
 //! Every decision is a pure function of `(seed, site, draw-index)` — a
-//! per-site atomic counter indexes draws, and a splitmix64 hash of the
+//! per-site atomic counter of the handle indexes draws, and a splitmix64 hash of the
 //! triple is compared against the site's probability threshold. Two runs
 //! with the same seed and the same per-site draw counts fire the same
 //! *number* of faults at each site regardless of thread interleaving,
 //! and a single-threaded replay fires exactly the same draws.
 //!
-//! Retries redraw: a retried spill write consults the registry again
+//! Retries redraw: a retried spill write consults the plan again
 //! with the next draw index, so injected faults are *transient* by
 //! construction and the retry/fallback machinery genuinely recovers.
 //! Recovery is counted ([`FaultSnapshot::retries_recovered`],
@@ -50,13 +56,13 @@
 //!
 //! ## Overhead
 //!
-//! When no plan is installed (the production configuration) every hook
-//! is a single relaxed atomic load returning `None` — the bench suite
-//! pins that the hooks add no measurable cost to the kernel ratios.
+//! When a site's probability is zero (always, in production) its hook
+//! is a single load returning `None` — the bench suite pins that the
+//! hooks add no measurable cost to the kernel ratios.
 
 use crate::error::{ColumnarError, Result};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of injection sites (array-indexed by [`FaultSite`]).
 pub const N_SITES: usize = 6;
@@ -131,7 +137,7 @@ pub enum FaultKind {
 }
 
 /// A seeded set of per-site fire probabilities.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
     /// Fire threshold per site in 1/2³² units (`0` = never).
@@ -205,22 +211,12 @@ impl FaultPlan {
     }
 }
 
-/// Cumulative injection / recovery counters (see [`stats`]).
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    injected: [AtomicU64; N_SITES],
-    draws: [AtomicU64; N_SITES],
-    retries_recovered: AtomicU64,
-    dir_fallbacks: AtomicU64,
-    panics_isolated: AtomicU64,
-}
-
-/// A point-in-time copy of the fault counters.
+/// A point-in-time copy of a [`Faults`] handle's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSnapshot {
     /// Faults fired per site (index-aligned with [`FaultSite::ALL`]).
     pub injected: [u64; N_SITES],
-    /// Registry consultations per site.
+    /// Plan consultations per site.
     pub draws: [u64; N_SITES],
     /// Operations that failed at least once and then succeeded on retry
     /// (same spill dir).
@@ -243,126 +239,154 @@ impl FaultSnapshot {
     }
 }
 
-impl FaultStats {
+/// A fault plan plus its draw and recovery counters: the handle each
+/// owner of an injection site holds (the pool and its pipelines, a
+/// spill dir, a memory tracker, CSV read options, the Dask engine).
+/// Clones share the plan and the counters, so every owner built from
+/// one [`ExecConfig`](crate::ExecConfig) draws from one sequence. The
+/// default handle never fires.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Arc<FaultState>);
+
+#[derive(Debug, Default)]
+struct FaultState {
+    plan: FaultPlan,
+    injected: [AtomicU64; N_SITES],
+    draws: [AtomicU64; N_SITES],
+    retries_recovered: AtomicU64,
+    dir_fallbacks: AtomicU64,
+    panics_isolated: AtomicU64,
+}
+
+impl Faults {
+    /// A handle firing `plan`, its counters at zero.
+    pub fn new(plan: FaultPlan) -> Faults {
+        Faults(Arc::new(FaultState {
+            plan,
+            ..FaultState::default()
+        }))
+    }
+
+    /// The plan this handle fires.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.0.plan
+    }
+
     /// Copy the counters.
     pub fn snapshot(&self) -> FaultSnapshot {
-        let mut injected = [0u64; N_SITES];
-        let mut draws = [0u64; N_SITES];
-        for i in 0..N_SITES {
-            injected[i] = self.injected[i].load(Ordering::Relaxed);
-            draws[i] = self.draws[i].load(Ordering::Relaxed);
-        }
+        let load = |a: &[AtomicU64; N_SITES]| a.each_ref().map(|c| c.load(Ordering::Relaxed));
         FaultSnapshot {
-            injected,
-            draws,
-            retries_recovered: self.retries_recovered.load(Ordering::Relaxed),
-            dir_fallbacks: self.dir_fallbacks.load(Ordering::Relaxed),
-            panics_isolated: self.panics_isolated.load(Ordering::Relaxed),
+            injected: load(&self.0.injected),
+            draws: load(&self.0.draws),
+            retries_recovered: self.0.retries_recovered.load(Ordering::Relaxed),
+            dir_fallbacks: self.0.dir_fallbacks.load(Ordering::Relaxed),
+            panics_isolated: self.0.panics_isolated.load(Ordering::Relaxed),
         }
     }
 
-    /// Zero every counter (between measured runs).
-    pub fn reset(&self) {
-        for i in 0..N_SITES {
-            self.injected[i].store(0, Ordering::Relaxed);
-            self.draws[i].store(0, Ordering::Relaxed);
-        }
-        self.retries_recovered.store(0, Ordering::Relaxed);
-        self.dir_fallbacks.store(0, Ordering::Relaxed);
-        self.panics_isolated.store(0, Ordering::Relaxed);
+    /// Record an operation that failed and then succeeded on a same-dir
+    /// retry (called by the spill recovery path).
+    pub fn record_retry_recovered(&self) {
+        self.0.retries_recovered.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-/// The process-wide fault counters.
-pub fn stats() -> &'static FaultStats {
-    static STATS: OnceLock<FaultStats> = OnceLock::new();
-    STATS.get_or_init(FaultStats::default)
-}
+    /// Record a spill write that recovered by switching to a fallback dir.
+    pub fn record_dir_fallback(&self) {
+        self.0.dir_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
 
-/// Record an operation that failed under injection and then succeeded on
-/// a same-dir retry (called by the spill recovery path).
-pub fn record_retry_recovered() {
-    stats().retries_recovered.fetch_add(1, Ordering::Relaxed);
-}
+    /// Record a worker / stage panic converted into a structured
+    /// [`ColumnarError::WorkerPanic`] (called by the pool, pipelines and
+    /// engines — counts *real* panics too).
+    pub fn record_panic_isolated(&self) {
+        self.0.panics_isolated.fetch_add(1, Ordering::Relaxed);
+    }
 
-/// Record a spill write that recovered by switching to a fallback dir.
-pub fn record_dir_fallback() {
-    stats().dir_fallbacks.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record a worker / stage panic converted into a structured
-/// [`ColumnarError::WorkerPanic`] (called by the pool and pipelines —
-/// counts *real* panics too, which is exactly what a long-lived server
-/// wants on its dashboard).
-pub fn record_panic_isolated() {
-    stats().panics_isolated.fetch_add(1, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Registry state
-// ---------------------------------------------------------------------------
-
-/// Fast disarm flag: `fire` is one relaxed load when no plan is active.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-struct Registry {
-    /// Installed plans, innermost last. The env plan (if any) sits at the
-    /// bottom of the stack.
-    stack: Mutex<Vec<Arc<FaultPlan>>>,
-}
-
-fn registry() -> &'static Registry {
-    static REG: OnceLock<Registry> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut stack = Vec::new();
-        if let Ok(spec) = std::env::var("LAFP_FAULTS") {
-            if !spec.trim().is_empty() {
-                match FaultPlan::parse(&spec) {
-                    Ok(plan) => {
-                        if plan.is_armed() {
-                            ARMED.store(true, Ordering::Relaxed);
-                        }
-                        stack.push(Arc::new(plan));
-                    }
-                    Err(e) => eprintln!("ignoring invalid LAFP_FAULTS: {e}"),
+    /// Consult the plan at `site`. Returns the fault to simulate, or
+    /// `None` (the overwhelmingly common case; one load when the site's
+    /// probability is zero).
+    pub fn fire(&self, site: FaultSite) -> Option<FaultKind> {
+        let i = site.index();
+        let threshold = self.0.plan.thresholds[i];
+        if threshold == 0 {
+            return None;
+        }
+        let draw = self.0.draws[i].fetch_add(1, Ordering::Relaxed);
+        let h = splitmix64(self.0.plan.seed ^ splitmix64((i as u64) << 32 | draw));
+        if (h >> 32) >= threshold {
+            return None;
+        }
+        self.0.injected[i].fetch_add(1, Ordering::Relaxed);
+        Some(match site {
+            FaultSite::SpillWrite => {
+                if h & 1 == 0 {
+                    FaultKind::Io(format!("injected transient spill-write error (draw {draw})"))
+                } else {
+                    FaultKind::Enospc
                 }
             }
+            FaultSite::SpillRead => {
+                if h & 1 == 0 {
+                    FaultKind::Io(format!("injected transient spill-read error (draw {draw})"))
+                } else {
+                    FaultKind::Corrupt
+                }
+            }
+            FaultSite::CsvRead => {
+                FaultKind::Io(format!("injected transient csv-read error (draw {draw})"))
+            }
+            FaultSite::MorselExecute => {
+                FaultKind::Panic(format!("injected worker panic (draw {draw})"))
+            }
+            FaultSite::PipelineStage => {
+                FaultKind::Panic(format!("injected pipeline-stage panic (draw {draw})"))
+            }
+            FaultSite::Alloc => FaultKind::Oom,
+        })
+    }
+
+    /// Hook for I/O layers: `Err(io::Error)` when a fault fires at `site`.
+    pub fn inject_io(&self, site: FaultSite) -> std::io::Result<()> {
+        match self.fire(site) {
+            None => Ok(()),
+            Some(FaultKind::Enospc) => Err(std::io::Error::new(
+                std::io::ErrorKind::StorageFull,
+                "injected ENOSPC (device full)",
+            )),
+            Some(FaultKind::Corrupt) => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "injected short read (corrupt payload)",
+            )),
+            Some(FaultKind::Io(msg)) => Err(std::io::Error::other(msg)),
+            Some(FaultKind::Oom) => Err(std::io::Error::other("injected allocation denial")),
+            // Panic kinds never fire at I/O sites, but honor the contract.
+            Some(FaultKind::Panic(msg)) => panic!("{msg}"),
         }
-        Registry {
-            stack: Mutex::new(stack),
+    }
+
+    /// Hook for execution layers: panics on a `Panic` fault (the caller's
+    /// `catch_unwind` boundary is what is under test), errors otherwise.
+    pub fn inject(&self, site: FaultSite) -> Result<()> {
+        match self.fire(site) {
+            None => Ok(()),
+            Some(FaultKind::Panic(msg)) => panic!("{msg}"),
+            Some(FaultKind::Oom) => Err(ColumnarError::OutOfMemory {
+                requested: 0,
+                available: 0,
+            }),
+            Some(FaultKind::Enospc) => Err(ColumnarError::Io {
+                kind: std::io::ErrorKind::StorageFull,
+                message: "injected ENOSPC (device full)".into(),
+            }),
+            Some(FaultKind::Corrupt) => Err(ColumnarError::Io {
+                kind: std::io::ErrorKind::UnexpectedEof,
+                message: "injected short read (corrupt payload)".into(),
+            }),
+            Some(FaultKind::Io(msg)) => Err(ColumnarError::Io {
+                kind: std::io::ErrorKind::Other,
+                message: msg,
+            }),
         }
-    })
-}
-
-/// Install a plan, overriding any active one until the guard drops.
-/// Tests that install plans should serialize on their own mutex — the
-/// registry is process-global.
-pub fn install(plan: FaultPlan) -> FaultGuard {
-    let reg = registry();
-    let mut stack = reg.stack.lock().unwrap_or_else(PoisonError::into_inner);
-    stack.push(Arc::new(plan));
-    ARMED.store(
-        stack.iter().any(|p| p.is_armed()),
-        Ordering::Relaxed,
-    );
-    FaultGuard { _private: () }
-}
-
-/// Uninstalls its plan (restoring the previous one) on drop.
-#[derive(Debug)]
-pub struct FaultGuard {
-    _private: (),
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        let reg = registry();
-        let mut stack = reg.stack.lock().unwrap_or_else(PoisonError::into_inner);
-        stack.pop();
-        ARMED.store(
-            stack.iter().any(|p| p.is_armed()),
-            Ordering::Relaxed,
-        );
     }
 }
 
@@ -374,109 +398,9 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Consult the registry at `site`. Returns the fault to simulate, or
-/// `None` (the overwhelmingly common case; one relaxed load when
-/// disarmed).
-pub fn fire(site: FaultSite) -> Option<FaultKind> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let reg = registry();
-    let plan = {
-        let stack = reg.stack.lock().unwrap_or_else(PoisonError::into_inner);
-        stack.last().cloned()?
-    };
-    let i = site.index();
-    let threshold = plan.thresholds[i];
-    if threshold == 0 {
-        return None;
-    }
-    let draw = stats().draws[i].fetch_add(1, Ordering::Relaxed);
-    let h = splitmix64(plan.seed ^ splitmix64((i as u64) << 32 | draw));
-    if (h >> 32) >= threshold {
-        return None;
-    }
-    stats().injected[i].fetch_add(1, Ordering::Relaxed);
-    Some(match site {
-        FaultSite::SpillWrite => {
-            if h & 1 == 0 {
-                FaultKind::Io(format!("injected transient spill-write error (draw {draw})"))
-            } else {
-                FaultKind::Enospc
-            }
-        }
-        FaultSite::SpillRead => {
-            if h & 1 == 0 {
-                FaultKind::Io(format!("injected transient spill-read error (draw {draw})"))
-            } else {
-                FaultKind::Corrupt
-            }
-        }
-        FaultSite::CsvRead => {
-            FaultKind::Io(format!("injected transient csv-read error (draw {draw})"))
-        }
-        FaultSite::MorselExecute => {
-            FaultKind::Panic(format!("injected worker panic (draw {draw})"))
-        }
-        FaultSite::PipelineStage => {
-            FaultKind::Panic(format!("injected pipeline-stage panic (draw {draw})"))
-        }
-        FaultSite::Alloc => FaultKind::Oom,
-    })
-}
-
-/// Hook for I/O layers: `Err(io::Error)` when a fault fires at `site`.
-pub fn inject_io(site: FaultSite) -> std::io::Result<()> {
-    match fire(site) {
-        None => Ok(()),
-        Some(FaultKind::Enospc) => Err(std::io::Error::new(
-            std::io::ErrorKind::StorageFull,
-            "injected ENOSPC (device full)",
-        )),
-        Some(FaultKind::Corrupt) => Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "injected short read (corrupt payload)",
-        )),
-        Some(FaultKind::Io(msg)) => {
-            Err(std::io::Error::other(msg))
-        }
-        Some(FaultKind::Oom) => Err(std::io::Error::other("injected allocation denial")),
-        // Panic kinds never fire at I/O sites, but honor the contract.
-        Some(FaultKind::Panic(msg)) => panic!("{msg}"),
-    }
-}
-
-/// Hook for execution layers: panics on a `Panic` fault (the caller's
-/// `catch_unwind` boundary is what is under test), errors otherwise.
-pub fn inject(site: FaultSite) -> Result<()> {
-    match fire(site) {
-        None => Ok(()),
-        Some(FaultKind::Panic(msg)) => panic!("{msg}"),
-        Some(FaultKind::Oom) => Err(ColumnarError::OutOfMemory {
-            requested: 0,
-            available: 0,
-        }),
-        Some(FaultKind::Enospc) => Err(ColumnarError::Io {
-            kind: std::io::ErrorKind::StorageFull,
-            message: "injected ENOSPC (device full)".into(),
-        }),
-        Some(FaultKind::Corrupt) => Err(ColumnarError::Io {
-            kind: std::io::ErrorKind::UnexpectedEof,
-            message: "injected short read (corrupt payload)".into(),
-        }),
-        Some(FaultKind::Io(msg)) => Err(ColumnarError::Io {
-            kind: std::io::ErrorKind::Other,
-            message: msg,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes registry-mutating tests within this binary.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_full_spec() {
@@ -504,39 +428,28 @@ mod tests {
 
     #[test]
     fn disarmed_fires_nothing() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        if std::env::var("LAFP_FAULTS").is_ok() {
-            // CI chaos runs arm the registry from the environment; the
-            // disarmed invariant is only checkable without it.
-            return;
-        }
+        let faults = Faults::default();
         for site in FaultSite::ALL {
-            assert_eq!(fire(site), None);
+            assert_eq!(faults.fire(site), None);
         }
+        assert_eq!(faults.snapshot(), FaultSnapshot::default(), "no draw is counted");
     }
 
     #[test]
     fn p1_always_fires_and_counts() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let before = stats().snapshot().injected_at(FaultSite::CsvRead);
-        let _g = install(FaultPlan::new(7).with(FaultSite::CsvRead, 1.0));
+        let faults = Faults::new(FaultPlan::new(7).with(FaultSite::CsvRead, 1.0));
         for _ in 0..10 {
-            assert!(fire(FaultSite::CsvRead).is_some());
+            assert!(faults.fire(FaultSite::CsvRead).is_some());
         }
-        assert_eq!(
-            stats().snapshot().injected_at(FaultSite::CsvRead),
-            before + 10
-        );
-        drop(_g);
-        assert_eq!(fire(FaultSite::CsvRead), None, "guard restored disarm");
+        assert_eq!(faults.snapshot().injected_at(FaultSite::CsvRead), 10);
+        assert_eq!(faults.fire(FaultSite::SpillRead), None, "other sites stay quiet");
     }
 
     #[test]
     fn seeded_rate_is_roughly_probability() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let _g = install(FaultPlan::new(1234).with(FaultSite::SpillWrite, 0.2));
+        let faults = Faults::new(FaultPlan::new(1234).with(FaultSite::SpillWrite, 0.2));
         let fired = (0..2000)
-            .filter(|_| fire(FaultSite::SpillWrite).is_some())
+            .filter(|_| faults.fire(FaultSite::SpillWrite).is_some())
             .count();
         assert!(
             (200..600).contains(&fired),
@@ -546,31 +459,27 @@ mod tests {
 
     #[test]
     fn panic_site_panics_via_inject() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let _g = install(FaultPlan::new(1).with(FaultSite::MorselExecute, 1.0));
-        let r = std::panic::catch_unwind(|| inject(FaultSite::MorselExecute));
+        let faults = Faults::new(FaultPlan::new(1).with(FaultSite::MorselExecute, 1.0));
+        let r = std::panic::catch_unwind(|| faults.inject(FaultSite::MorselExecute));
         assert!(r.is_err(), "worker_panic site must panic");
     }
 
     #[test]
     fn io_site_yields_io_error() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let _g = install(FaultPlan::new(1).with(FaultSite::SpillWrite, 1.0));
-        assert!(inject_io(FaultSite::SpillWrite).is_err());
-        let err = inject(FaultSite::SpillWrite).unwrap_err();
+        let faults = Faults::new(FaultPlan::new(1).with(FaultSite::SpillWrite, 1.0));
+        assert!(faults.inject_io(FaultSite::SpillWrite).is_err());
+        let err = faults.inject(FaultSite::SpillWrite).unwrap_err();
         assert!(matches!(err, ColumnarError::Io { .. }));
     }
 
     #[test]
-    fn nested_installs_restore_in_order() {
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let g1 = install(FaultPlan::new(1).with(FaultSite::Alloc, 1.0));
-        {
-            let _g2 = install(FaultPlan::new(2)); // unarmed inner plan
-            assert_eq!(fire(FaultSite::Alloc), None);
-        }
-        assert!(fire(FaultSite::Alloc).is_some(), "outer plan active again");
-        drop(g1);
-        assert_eq!(fire(FaultSite::Alloc), None);
+    fn clones_share_counters_and_handles_do_not() {
+        let plan = FaultPlan::new(1).with(FaultSite::Alloc, 1.0);
+        let a = Faults::new(plan.clone());
+        let shared = a.clone();
+        assert!(shared.fire(FaultSite::Alloc).is_some());
+        assert_eq!(a.snapshot().injected_at(FaultSite::Alloc), 1);
+        let other = Faults::new(plan);
+        assert_eq!(other.snapshot().draws, [0; N_SITES], "a new handle starts at draw 0");
     }
 }

@@ -1587,7 +1587,7 @@ fn try_dense_group_by(
     spec: &GroupBySpec,
     pool: Option<&crate::pool::WorkerPool>,
 ) -> Result<Option<DataFrame>> {
-    if !crate::encoding::enabled() || spec.keys.len() != 1 {
+    if spec.keys.len() != 1 {
         return Ok(None);
     }
     let key_col = frame.column(&spec.keys[0])?.column();

@@ -65,7 +65,7 @@ pub fn merge(
     on: &[String],
     how: JoinKind,
 ) -> Result<DataFrame> {
-    merge_par(left, right, on, how, &WorkerPool::sequential())
+    merge_par(left, right, on, how, &WorkerPool::new(1))
 }
 
 /// [`merge`] driven through a worker pool: the build side is hashed and
@@ -178,7 +178,7 @@ fn merge_impl<I: IndexLike + Send + Sync>(
     // The computed row ids are in bounds by construction, so assembly
     // skips `take`'s per-column bounds scan. Small outputs gather
     // sequentially — scoped workers don't amortize below PAR_MIN_ROWS.
-    let seq = WorkerPool::sequential();
+    let seq = WorkerPool::new(1);
     let gather_pool = if left_idx.len() >= PAR_MIN_ROWS { pool } else { &seq };
     let out: Vec<Series> = gather_pool.map(plan, |_, (name, col, is_right)| {
         let gathered = if is_right {

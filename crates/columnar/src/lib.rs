@@ -22,8 +22,10 @@
 //! * [`csv`] — a quoted-CSV reader (with projection, dtype overrides, date
 //!   parsing and chunked/streaming access used by the out-of-core backend)
 //!   and writer.
-//! * [`faults`] / [`cancel`] — the robustness layer: a deterministic,
-//!   seeded fault-injection registry (`LAFP_FAULTS`) firing synthetic
+//! * [`config`] — [`ExecConfig`], every engine setting as one value
+//!   (threads, fusion, encoding, spill roots, faults, query deadline).
+//! * [`faults`] / [`cancel`] — the robustness layer: deterministic,
+//!   seeded fault-injection plans (`LAFP_FAULTS`) firing synthetic
 //!   I/O errors, ENOSPC, corruption, allocation denials and worker
 //!   panics at the executor's recovery boundaries, and a cooperative
 //!   [`CancelToken`] checked at morsel claims and spill operations.
@@ -37,6 +39,7 @@
 pub mod bitmap;
 pub mod cancel;
 pub mod column;
+pub mod config;
 pub mod csv;
 pub mod describe;
 pub mod dtype;
@@ -56,6 +59,7 @@ pub mod value;
 pub use bitmap::Bitmap;
 pub use cancel::CancelToken;
 pub use column::Column;
+pub use config::ExecConfig;
 pub use dtype::DType;
 pub use error::{ColumnarError, Result};
 pub use frame::DataFrame;

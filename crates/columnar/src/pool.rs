@@ -12,10 +12,9 @@
 //! multi-millisecond kernels the pool is reserved for — every entry
 //! point falls back to the sequential path below [`PAR_MIN_ROWS`].
 //!
-//! Thread-count resolution is shared by every consumer (the engines, the
-//! bench harness, the global pool): an explicit request wins, then the
-//! `LAFP_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`]. See [`resolve_threads`].
+//! Thread counts come from one place: an explicit request wins, else
+//! [`ExecConfig::threads`] (`LAFP_THREADS`, then
+//! [`std::thread::available_parallelism`]). See [`WorkerPool::new`].
 //!
 //! Determinism: every parallel kernel stitches its per-morsel outputs
 //! back together in morsel order (or merges with a total, index-broken
@@ -29,12 +28,13 @@
 
 use crate::cancel::CancelToken;
 use crate::error::{ColumnarError, Result};
-use crate::faults::{self, FaultKind, FaultSite};
+use crate::faults::{FaultKind, FaultSite, Faults};
+use crate::ExecConfig;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Extract a human-readable message from a caught panic payload
 /// (`panic!` with a string literal or a formatted `String`; anything
@@ -57,10 +57,10 @@ fn set_first_error(slot: &Mutex<Option<ColumnarError>>, err: ColumnarError) {
     guard.get_or_insert(err);
 }
 
-/// Fire the pipeline-stage injection point (panics when the registry
-/// says so; the surrounding `catch_unwind` is what is under test).
-fn stage_inject() {
-    if let Some(FaultKind::Panic(msg)) = faults::fire(FaultSite::PipelineStage) {
+/// Fire the pipeline-stage injection point (panics when the plan says
+/// so; the surrounding `catch_unwind` is what is under test).
+fn stage_inject(faults: &Faults) {
+    if let Some(FaultKind::Panic(msg)) = faults.fire(FaultSite::PipelineStage) {
         panic!("{msg}");
     }
 }
@@ -75,30 +75,6 @@ pub const MORSEL_ROWS: usize = 64 * 1024;
 /// too small to amortize spawning scoped workers.
 pub const PAR_MIN_ROWS: usize = 16 * 1024;
 
-/// Resolve a requested worker count to an effective one.
-///
-/// `0` means "default": the `LAFP_THREADS` environment variable if set
-/// to a positive integer, else the machine's available parallelism.
-/// Non-zero requests are honored as-is. The result is always ≥ 1.
-///
-/// Every thread-count decision in the workspace routes through this one
-/// function — the Modin-like eager engine, the Dask-like engine, the
-/// global pool and the bench harness — so "default" cannot silently mean
-/// different things in different layers.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Ok(v) = std::env::var("LAFP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// A scoped worker pool: a resolved thread count plus the morsel-claiming
 /// machinery. Cheap to construct (no threads live between calls).
 ///
@@ -112,6 +88,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 #[derive(Debug)]
 pub struct WorkerPool {
     threads: usize,
+    /// The `worker_panic` / `pipeline_stage` injection plan.
+    faults: Faults,
     /// Cooperative cancellation consulted at every morsel claim by the
     /// fallible entry points ([`try_map`](WorkerPool::try_map),
     /// [`run_workers`](WorkerPool::run_workers)). `None` = never
@@ -128,15 +106,17 @@ pub struct TaskQueue {
     /// other workers drain instead of burning through a doomed run.
     poisoned: AtomicBool,
     cancel: Option<CancelToken>,
+    faults: Faults,
 }
 
 impl TaskQueue {
-    fn new(tasks: usize, cancel: Option<CancelToken>) -> TaskQueue {
+    fn new(tasks: usize, cancel: Option<CancelToken>, faults: &Faults) -> TaskQueue {
         TaskQueue {
             next: AtomicUsize::new(0),
             tasks,
             poisoned: AtomicBool::new(false),
             cancel,
+            faults: faults.clone(),
         }
     }
 
@@ -153,7 +133,7 @@ impl TaskQueue {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return None;
         }
-        if let Some(FaultKind::Panic(msg)) = faults::fire(FaultSite::MorselExecute) {
+        if let Some(FaultKind::Panic(msg)) = self.faults.fire(FaultSite::MorselExecute) {
             panic!("{msg}");
         }
         let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -178,20 +158,18 @@ struct Slot<T>(UnsafeCell<Option<T>>);
 unsafe impl<T: Send> Sync for Slot<T> {}
 
 impl WorkerPool {
-    /// A pool with `threads` workers (`0` = default; see
-    /// [`resolve_threads`]).
+    /// A pool with `threads` workers and the process configuration's
+    /// fault plan ([`ExecConfig::from_env`]). `0` means the configured
+    /// count; a pool of 1 runs every entry point's sequential path.
     pub fn new(threads: usize) -> WorkerPool {
-        WorkerPool {
-            threads: resolve_threads(threads),
-            cancel: None,
-        }
+        WorkerPool::from_config(&ExecConfig::from_env().with_threads(threads))
     }
 
-    /// A single-threaded pool: every parallel entry point degenerates to
-    /// its sequential path.
-    pub const fn sequential() -> WorkerPool {
+    /// A pool with `config`'s thread count (at least 1) and fault plan.
+    pub fn from_config(config: &ExecConfig) -> WorkerPool {
         WorkerPool {
-            threads: 1,
+            threads: config.threads.max(1),
+            faults: config.faults.clone(),
             cancel: None,
         }
     }
@@ -205,15 +183,9 @@ impl WorkerPool {
     pub fn with_cancel(&self, token: CancelToken) -> WorkerPool {
         WorkerPool {
             threads: self.threads,
+            faults: self.faults.clone(),
             cancel: Some(token),
         }
-    }
-
-    /// The process-wide default pool, sized once from `LAFP_THREADS` /
-    /// available parallelism.
-    pub fn global() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| WorkerPool::new(0))
     }
 
     /// Worker count this pool runs with.
@@ -250,7 +222,7 @@ impl WorkerPool {
             .map(|t| Slot(UnsafeCell::new(Some(t))))
             .collect();
         let out: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-        let queue = TaskQueue::new(n, None);
+        let queue = TaskQueue::new(n, None, &self.faults);
         let workers = self.threads.min(n);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -304,11 +276,13 @@ impl WorkerPool {
                 // Same morsel-execution injection point the parallel
                 // path hits in `TaskQueue::claim`.
                 match catch_unwind(AssertUnwindSafe(|| {
-                    faults::inject(FaultSite::MorselExecute).and_then(|()| f(i, item))
+                    self.faults
+                        .inject(FaultSite::MorselExecute)
+                        .and_then(|()| f(i, item))
                 })) {
                     Ok(r) => out.push(r?),
                     Err(payload) => {
-                        faults::record_panic_isolated();
+                        self.faults.record_panic_isolated();
                         return Err(ColumnarError::WorkerPanic(panic_message(payload)));
                     }
                 }
@@ -320,7 +294,7 @@ impl WorkerPool {
             .map(|t| Slot(UnsafeCell::new(Some(t))))
             .collect();
         let out: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-        let queue = TaskQueue::new(n, self.cancel.clone());
+        let queue = TaskQueue::new(n, self.cancel.clone(), &self.faults);
         let error: Mutex<Option<ColumnarError>> = Mutex::new(None);
         let workers = self.threads.min(n);
         std::thread::scope(|scope| {
@@ -345,7 +319,7 @@ impl WorkerPool {
                     }));
                     if let Err(payload) = run {
                         queue.poison();
-                        faults::record_panic_isolated();
+                        self.faults.record_panic_isolated();
                         set_first_error(
                             &error,
                             ColumnarError::WorkerPanic(panic_message(payload)),
@@ -381,7 +355,7 @@ impl WorkerPool {
         tasks: usize,
         worker: impl Fn(&TaskQueue) -> R + Sync,
     ) -> Result<Vec<R>> {
-        let queue = TaskQueue::new(tasks, self.cancel.clone());
+        let queue = TaskQueue::new(tasks, self.cancel.clone(), &self.faults);
         let workers = self.threads.min(tasks.max(1));
         let error: Mutex<Option<ColumnarError>> = Mutex::new(None);
         let run_one = |queue: &TaskQueue| -> Option<R> {
@@ -389,7 +363,7 @@ impl WorkerPool {
                 Ok(r) => Some(r),
                 Err(payload) => {
                     queue.poison();
-                    faults::record_panic_isolated();
+                    self.faults.record_panic_isolated();
                     set_first_error(
                         &error,
                         ColumnarError::WorkerPanic(panic_message(payload)),
@@ -541,211 +515,216 @@ impl<T> StageChannel<T> {
     }
 }
 
-/// Run a two-stage pipeline: `producer` on a scoped worker thread,
-/// `consumer` on the calling thread, connected by a bounded
-/// [`StageChannel`] of `cap` items. Returns both stages' results once
-/// both finish.
-///
-/// The consumer runs on the caller's thread so it can hold `&mut`
-/// state (an engine driving operators downstream of a scan) without
-/// `Send` gymnastics. The producer must close the channel when done —
-/// typical producers wrap their loop and call
-/// [`close`](StageChannel::close) at the end; a consumer that stops
-/// early (limit reached, error) should call
-/// [`hang_up`](StageChannel::hang_up) so the producer's next `send`
-/// returns `false` and it can exit instead of blocking forever.
-///
-/// Both stages run under `catch_unwind`, and the shutdown protocol runs
-/// *unconditionally*: whatever a stage does — return, error out early,
-/// or panic — its channel side is released (producer exit closes,
-/// consumer exit hangs up), so the peer can never block forever on a
-/// bounded queue. A panic in either stage surfaces as
-/// [`ColumnarError::WorkerPanic`] after both stages have unwound.
-///
-/// ```
-/// use lafp_columnar::pool::{pipeline, StageChannel};
-/// let ((), sum) = pipeline(
-///     2,
-///     |tx: &StageChannel<i64>| {
-///         for v in 1..=100 {
-///             if !tx.send(v) {
-///                 break;
-///             }
-///         }
-///         tx.close();
-///     },
-///     |rx| {
-///         let mut total = 0;
-///         while let Some(v) = rx.recv() {
-///             total += v;
-///         }
-///         total
-///     },
-/// )
-/// .unwrap();
-/// assert_eq!(sum, 5050);
-/// ```
-pub fn pipeline<T, A, B>(
-    cap: usize,
-    producer: impl FnOnce(&StageChannel<T>) -> A + Send,
-    consumer: impl FnOnce(&StageChannel<T>) -> B,
-) -> Result<(A, B)>
-where
-    T: Send,
-    A: Send,
-{
-    let channel = StageChannel::new(cap);
-    let (a, b) = std::thread::scope(|scope| {
-        let handle = scope.spawn(|| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                stage_inject();
-                producer(&channel)
-            }));
-            // Whether the producer returned or panicked, the consumer
-            // must not block on a channel nobody will feed again.
-            channel.close();
-            r
+impl WorkerPool {
+    /// Run a two-stage pipeline: `producer` on a scoped worker thread,
+    /// `consumer` on the calling thread, connected by a bounded
+    /// [`StageChannel`] of `cap` items. Returns both stages' results once
+    /// both finish.
+    ///
+    /// The consumer runs on the caller's thread so it can hold `&mut`
+    /// state (an engine driving operators downstream of a scan) without
+    /// `Send` gymnastics. The producer must close the channel when done —
+    /// typical producers wrap their loop and call
+    /// [`close`](StageChannel::close) at the end; a consumer that stops
+    /// early (limit reached, error) should call
+    /// [`hang_up`](StageChannel::hang_up) so the producer's next `send`
+    /// returns `false` and it can exit instead of blocking forever.
+    ///
+    /// Both stages run under `catch_unwind`, and the shutdown protocol runs
+    /// *unconditionally*: whatever a stage does — return, error out early,
+    /// or panic — its channel side is released (producer exit closes,
+    /// consumer exit hangs up), so the peer can never block forever on a
+    /// bounded queue. A panic in either stage surfaces as
+    /// [`ColumnarError::WorkerPanic`] after both stages have unwound. The
+    /// stage threads are the pool's `pipeline_stage` injection site.
+    ///
+    /// ```
+    /// use lafp_columnar::pool::{StageChannel, WorkerPool};
+    /// let ((), sum) = WorkerPool::new(2).pipeline(
+    ///     2,
+    ///     |tx: &StageChannel<i64>| {
+    ///         for v in 1..=100 {
+    ///             if !tx.send(v) {
+    ///                 break;
+    ///             }
+    ///         }
+    ///         tx.close();
+    ///     },
+    ///     |rx| {
+    ///         let mut total = 0;
+    ///         while let Some(v) = rx.recv() {
+    ///             total += v;
+    ///         }
+    ///         total
+    ///     },
+    /// )
+    /// .unwrap();
+    /// assert_eq!(sum, 5050);
+    /// ```
+    pub fn pipeline<T, A, B>(
+        &self,
+        cap: usize,
+        producer: impl FnOnce(&StageChannel<T>) -> A + Send,
+        consumer: impl FnOnce(&StageChannel<T>) -> B,
+    ) -> Result<(A, B)>
+    where
+        T: Send,
+        A: Send,
+    {
+        let channel = StageChannel::new(cap);
+        let (a, b) = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    stage_inject(&self.faults);
+                    producer(&channel)
+                }));
+                // Whether the producer returned or panicked, the consumer
+                // must not block on a channel nobody will feed again.
+                channel.close();
+                r
+            });
+            let b = catch_unwind(AssertUnwindSafe(|| consumer(&channel)));
+            // A consumer that returned early (or panicked) must not strand
+            // the producer on a full queue.
+            channel.hang_up();
+            let a = handle.join().unwrap_or_else(Err);
+            (a, b)
         });
-        let b = catch_unwind(AssertUnwindSafe(|| consumer(&channel)));
-        // A consumer that returned early (or panicked) must not strand
-        // the producer on a full queue.
-        channel.hang_up();
-        let a = handle.join().unwrap_or_else(Err);
-        (a, b)
-    });
-    match (a, b) {
-        (Ok(a), Ok(b)) => Ok((a, b)),
-        (ra, rb) => {
-            let mut msgs: Vec<String> = [ra.err(), rb.err()]
-                .into_iter()
-                .flatten()
-                .map(panic_message)
-                .collect();
-            for _ in &msgs {
-                faults::record_panic_isolated();
+        match (a, b) {
+            (Ok(a), Ok(b)) => Ok((a, b)),
+            (ra, rb) => {
+                let mut msgs: Vec<String> = [ra.err(), rb.err()]
+                    .into_iter()
+                    .flatten()
+                    .map(panic_message)
+                    .collect();
+                for _ in &msgs {
+                    self.faults.record_panic_isolated();
+                }
+                Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
+                    "pipeline stage panicked".to_string()
+                } else {
+                    msgs.swap_remove(0)
+                }))
             }
-            Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
-                "pipeline stage panicked".to_string()
-            } else {
-                msgs.swap_remove(0)
-            }))
         }
     }
-}
 
-/// Run a three-stage pipeline: `producer` and `middle` each on their own
-/// scoped worker thread, `consumer` on the calling thread, connected by
-/// two bounded [`StageChannel`]s of `cap` items each. This is the
-/// multi-stage shape the streaming executor uses for
-/// scan → fused-chain transform → accumulate: the parse thread, the
-/// operator-chain thread, and the driver all run concurrently, and the
-/// two bounds keep the total in-flight footprint at `2 · cap` morsels
-/// regardless of file size.
-///
-/// Shutdown protocol (the part that must not deadlock): every stage
-/// runs under `catch_unwind` and releases its channel sides
-/// *unconditionally* when it exits — normally, on error, or by panic.
-/// The producer's exit closes the upstream channel; the middle stage's
-/// exit hangs up upstream (so a blocked producer `send` returns
-/// `false`) and closes downstream (so the consumer's `recv` drains and
-/// returns `None`); the consumer's exit hangs up downstream. Any stage
-/// panic surfaces as [`ColumnarError::WorkerPanic`] after all three
-/// stages have unwound — bounded-channel peers never block forever. A
-/// middle stage should still mirror a well-behaved producer: forward
-/// until `recv` returns `None` or `send` returns `false`, then
-/// [`close`](StageChannel::close) its output.
-///
-/// ```
-/// use lafp_columnar::pool::{pipeline3, StageChannel};
-/// let ((), (), sum) = pipeline3(
-///     2,
-///     |tx: &StageChannel<i64>| {
-///         for v in 1..=100 {
-///             if !tx.send(v) {
-///                 break;
-///             }
-///         }
-///         tx.close();
-///     },
-///     |rx, tx: &StageChannel<i64>| {
-///         while let Some(v) = rx.recv() {
-///             if !tx.send(v * 2) {
-///                 break;
-///             }
-///         }
-///         tx.close();
-///     },
-///     |rx| {
-///         let mut total = 0;
-///         while let Some(v) = rx.recv() {
-///             total += v;
-///         }
-///         total
-///     },
-/// )
-/// .unwrap();
-/// assert_eq!(sum, 10100);
-/// ```
-pub fn pipeline3<T, U, A, B, C>(
-    cap: usize,
-    producer: impl FnOnce(&StageChannel<T>) -> A + Send,
-    middle: impl FnOnce(&StageChannel<T>, &StageChannel<U>) -> B + Send,
-    consumer: impl FnOnce(&StageChannel<U>) -> C,
-) -> Result<(A, B, C)>
-where
-    T: Send,
-    U: Send,
-    A: Send,
-    B: Send,
-{
-    let upstream = StageChannel::new(cap);
-    let downstream = StageChannel::new(cap);
-    let (a, b, c) = std::thread::scope(|scope| {
-        let h1 = scope.spawn(|| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                stage_inject();
-                producer(&upstream)
-            }));
-            upstream.close();
-            r
-        });
-        let h2 = scope.spawn(|| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                stage_inject();
-                middle(&upstream, &downstream)
-            }));
-            // A middle stage that stopped — normally or not — must
-            // release both neighbors: the producer may be blocked
-            // sending upstream, the consumer waiting downstream.
+    /// Run a three-stage pipeline: `producer` and `middle` each on their own
+    /// scoped worker thread, `consumer` on the calling thread, connected by
+    /// two bounded [`StageChannel`]s of `cap` items each. This is the
+    /// multi-stage shape the streaming executor uses for
+    /// scan → fused-chain transform → accumulate: the parse thread, the
+    /// operator-chain thread, and the driver all run concurrently, and the
+    /// two bounds keep the total in-flight footprint at `2 · cap` morsels
+    /// regardless of file size.
+    ///
+    /// Shutdown protocol (the part that must not deadlock): every stage
+    /// runs under `catch_unwind` and releases its channel sides
+    /// *unconditionally* when it exits — normally, on error, or by panic.
+    /// The producer's exit closes the upstream channel; the middle stage's
+    /// exit hangs up upstream (so a blocked producer `send` returns
+    /// `false`) and closes downstream (so the consumer's `recv` drains and
+    /// returns `None`); the consumer's exit hangs up downstream. Any stage
+    /// panic surfaces as [`ColumnarError::WorkerPanic`] after all three
+    /// stages have unwound — bounded-channel peers never block forever. A
+    /// middle stage should still mirror a well-behaved producer: forward
+    /// until `recv` returns `None` or `send` returns `false`, then
+    /// [`close`](StageChannel::close) its output.
+    ///
+    /// ```
+    /// use lafp_columnar::pool::{StageChannel, WorkerPool};
+    /// let ((), (), sum) = WorkerPool::new(2).pipeline3(
+    ///     2,
+    ///     |tx: &StageChannel<i64>| {
+    ///         for v in 1..=100 {
+    ///             if !tx.send(v) {
+    ///                 break;
+    ///             }
+    ///         }
+    ///         tx.close();
+    ///     },
+    ///     |rx, tx: &StageChannel<i64>| {
+    ///         while let Some(v) = rx.recv() {
+    ///             if !tx.send(v * 2) {
+    ///                 break;
+    ///             }
+    ///         }
+    ///         tx.close();
+    ///     },
+    ///     |rx| {
+    ///         let mut total = 0;
+    ///         while let Some(v) = rx.recv() {
+    ///             total += v;
+    ///         }
+    ///         total
+    ///     },
+    /// )
+    /// .unwrap();
+    /// assert_eq!(sum, 10100);
+    /// ```
+    pub fn pipeline3<T, U, A, B, C>(
+        &self,
+        cap: usize,
+        producer: impl FnOnce(&StageChannel<T>) -> A + Send,
+        middle: impl FnOnce(&StageChannel<T>, &StageChannel<U>) -> B + Send,
+        consumer: impl FnOnce(&StageChannel<U>) -> C,
+    ) -> Result<(A, B, C)>
+    where
+        T: Send,
+        U: Send,
+        A: Send,
+        B: Send,
+    {
+        let upstream = StageChannel::new(cap);
+        let downstream = StageChannel::new(cap);
+        let (a, b, c) = std::thread::scope(|scope| {
+            let h1 = scope.spawn(|| {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    stage_inject(&self.faults);
+                    producer(&upstream)
+                }));
+                upstream.close();
+                r
+            });
+            let h2 = scope.spawn(|| {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    stage_inject(&self.faults);
+                    middle(&upstream, &downstream)
+                }));
+                // A middle stage that stopped — normally or not — must
+                // release both neighbors: the producer may be blocked
+                // sending upstream, the consumer waiting downstream.
+                upstream.hang_up();
+                downstream.close();
+                r
+            });
+            let c = catch_unwind(AssertUnwindSafe(|| consumer(&downstream)));
+            // Unwind in dependency order (each call is idempotent): free the
+            // middle stage first, then the producer.
+            downstream.hang_up();
+            let b = h2.join().unwrap_or_else(Err);
             upstream.hang_up();
-            downstream.close();
-            r
+            let a = h1.join().unwrap_or_else(Err);
+            (a, b, c)
         });
-        let c = catch_unwind(AssertUnwindSafe(|| consumer(&downstream)));
-        // Unwind in dependency order (each call is idempotent): free the
-        // middle stage first, then the producer.
-        downstream.hang_up();
-        let b = h2.join().unwrap_or_else(Err);
-        upstream.hang_up();
-        let a = h1.join().unwrap_or_else(Err);
-        (a, b, c)
-    });
-    match (a, b, c) {
-        (Ok(a), Ok(b), Ok(c)) => Ok((a, b, c)),
-        (ra, rb, rc) => {
-            let mut msgs: Vec<String> = [ra.err(), rb.err(), rc.err()]
-                .into_iter()
-                .flatten()
-                .map(panic_message)
-                .collect();
-            for _ in &msgs {
-                faults::record_panic_isolated();
+        match (a, b, c) {
+            (Ok(a), Ok(b), Ok(c)) => Ok((a, b, c)),
+            (ra, rb, rc) => {
+                let mut msgs: Vec<String> = [ra.err(), rb.err(), rc.err()]
+                    .into_iter()
+                    .flatten()
+                    .map(panic_message)
+                    .collect();
+                for _ in &msgs {
+                    self.faults.record_panic_isolated();
+                }
+                Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
+                    "pipeline stage panicked".to_string()
+                } else {
+                    msgs.swap_remove(0)
+                }))
             }
-            Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
-                "pipeline stage panicked".to_string()
-            } else {
-                msgs.swap_remove(0)
-            }))
         }
     }
 }
@@ -806,8 +785,11 @@ mod tests {
 
     #[test]
     fn resolve_honors_explicit_request() {
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
+        assert_eq!(WorkerPool::new(3).threads(), 3);
+        assert!(WorkerPool::new(0).threads() >= 1);
+        let config = ExecConfig::default().with_threads(5);
+        let pool = WorkerPool::from_config(&config.with_threads(0));
+        assert_eq!(pool.threads(), 5);
     }
 
     #[test]
@@ -826,7 +808,7 @@ mod tests {
 
     #[test]
     fn map_sequential_fallback() {
-        let pool = WorkerPool::sequential();
+        let pool = WorkerPool::new(1);
         assert!(!pool.is_parallel());
         let out = pool.map(vec![10, 20], |_, v| v + 1);
         assert_eq!(out, vec![11, 21]);
@@ -1001,7 +983,8 @@ mod tests {
 
     #[test]
     fn pipeline_streams_in_order() {
-        let ((), got) = pipeline(
+        let pool = WorkerPool::new(2);
+        let ((), got) = pool.pipeline(
             4,
             |tx: &StageChannel<usize>| {
                 for v in 0..1000 {
@@ -1028,7 +1011,8 @@ mod tests {
         let in_flight = AtomicUsize::new(0);
         let max_seen = AtomicUsize::new(0);
         let cap = 3;
-        pipeline(
+        let pool = WorkerPool::new(2);
+        pool.pipeline(
             cap,
             |tx: &StageChannel<()>| {
                 for _ in 0..200 {
@@ -1059,7 +1043,8 @@ mod tests {
     /// producer instead of deadlocking it on a full queue.
     #[test]
     fn pipeline_consumer_hangup_stops_producer() {
-        let (sent, got) = pipeline(
+        let pool = WorkerPool::new(2);
+        let (sent, got) = pool.pipeline(
             1,
             |tx: &StageChannel<usize>| {
                 let mut sent = 0usize;
@@ -1091,7 +1076,8 @@ mod tests {
 
     #[test]
     fn pipeline3_streams_in_order_through_both_channels() {
-        let ((), (), got) = pipeline3(
+        let pool = WorkerPool::new(2);
+        let ((), (), got) = pool.pipeline3(
             4,
             |tx: &StageChannel<usize>| {
                 for v in 0..1000 {
@@ -1123,7 +1109,8 @@ mod tests {
     /// around it must still terminate cleanly.
     #[test]
     fn pipeline3_middle_stage_filters() {
-        let ((), kept, sum) = pipeline3(
+        let pool = WorkerPool::new(2);
+        let ((), kept, sum) = pool.pipeline3(
             2,
             |tx: &StageChannel<usize>| {
                 for v in 0..100 {
@@ -1162,7 +1149,8 @@ mod tests {
     /// producer) instead of deadlocking on full queues.
     #[test]
     fn pipeline3_consumer_hangup_unwinds_both_stages() {
-        let (sent, forwarded, got) = pipeline3(
+        let pool = WorkerPool::new(2);
+        let (sent, forwarded, got) = pool.pipeline3(
             1,
             |tx: &StageChannel<usize>| {
                 let mut sent = 0usize;
@@ -1211,7 +1199,8 @@ mod tests {
         let in_flight = AtomicUsize::new(0);
         let max_seen = AtomicUsize::new(0);
         let cap = 3;
-        pipeline3(
+        let pool = WorkerPool::new(2);
+        pool.pipeline3(
             cap,
             |tx: &StageChannel<()>| {
                 for _ in 0..200 {
@@ -1247,7 +1236,8 @@ mod tests {
 
     #[test]
     fn pipeline_empty_producer() {
-        let ((), n) = pipeline(
+        let pool = WorkerPool::new(2);
+        let ((), n) = pool.pipeline(
             2,
             |tx: &StageChannel<u8>| tx.close(),
             |rx| {
@@ -1270,7 +1260,8 @@ mod tests {
     #[test]
     fn pipeline_producer_panic_mid_stream_no_deadlock() {
         for cap in [1usize, 8] {
-            let err = pipeline(
+            let pool = WorkerPool::new(2);
+            let err = pool.pipeline(
                 cap,
                 |tx: &StageChannel<usize>| {
                     for v in 0..10 {
@@ -1301,7 +1292,8 @@ mod tests {
     fn pipeline_consumer_panic_mid_stream_no_deadlock() {
         for cap in [1usize, 8] {
             let sent = AtomicUsize::new(0);
-            let err = pipeline(
+            let pool = WorkerPool::new(2);
+            let err = pool.pipeline(
                 cap,
                 |tx: &StageChannel<usize>| {
                     for v in 0..1_000_000 {
@@ -1338,7 +1330,8 @@ mod tests {
     fn pipeline3_middle_panic_mid_stream_unwinds_both_directions() {
         for cap in [1usize, 8] {
             let sent = AtomicUsize::new(0);
-            let err = pipeline3(
+            let pool = WorkerPool::new(2);
+            let err = pool.pipeline3(
                 cap,
                 |tx: &StageChannel<usize>| {
                     for v in 0..1_000_000 {
@@ -1379,7 +1372,8 @@ mod tests {
     #[test]
     fn pipeline3_producer_panic_mid_stream_no_deadlock() {
         for cap in [1usize, 8] {
-            let err = pipeline3(
+            let pool = WorkerPool::new(2);
+            let err = pool.pipeline3(
                 cap,
                 |tx: &StageChannel<usize>| {
                     let _ = tx.send(1);

@@ -570,7 +570,7 @@ fn argsort(keys: &[SortKey<'_>], n: usize) -> Vec<usize> {
     }
     // Normalized-key comparator: one u64 compare resolves the covered
     // keys; only normalized ties re-compare the uncovered tail.
-    let norm = NormKeys::build(keys, n, &WorkerPool::sequential());
+    let norm = NormKeys::build(keys, n, &WorkerPool::new(1));
     let tail = &keys[norm.fallback_start..];
     let values = &norm.values;
     if tail.is_empty() {

@@ -53,9 +53,9 @@
 //!    re-runs a failed write on a fresh file (the partial file is always
 //!    removed first), [`SpillReader::next_frame`] seeks back to the
 //!    frame start and re-reads. Transient faults (including everything
-//!    the [`faults`] registry injects) recover here.
+//!    a [`Faults`] plan injects) recover here.
 //! 2. **Fallback directory** — an ENOSPC-shaped write failure advances
-//!    the dir to its next root (`LAFP_SPILL_DIRS`, colon-separated) and
+//!    the dir to its next root ([`ExecConfig::spill_dirs`]) and
 //!    retries there: a full primary disk degrades to a slower spill
 //!    volume, not a failed query.
 //! 3. **Clean error** — when every root is exhausted the write returns a
@@ -71,10 +71,11 @@
 use crate::bitmap::Bitmap;
 use crate::column::{Categorical, Column};
 use crate::error::{ColumnarError, Result};
-use crate::faults::{self, FaultSite};
+use crate::faults::{FaultSite, Faults};
 use crate::frame::DataFrame;
 use crate::series::Series;
 use crate::strings::{Utf8Builder, Utf8Col};
+use crate::ExecConfig;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -106,15 +107,17 @@ const RETRY_BACKOFF_MS: [u64; 3] = [0, 1, 2];
 /// Writes normally land in the *active* root (initially the primary).
 /// When a write fails with an ENOSPC-shaped error,
 /// [`write_with_retry`](SpillDir::write_with_retry) advances the active
-/// root to the next fallback — configured via the `LAFP_SPILL_DIRS`
-/// environment variable (colon-separated directories, each given a
-/// process-unique subdirectory) or [`with_fallbacks`](SpillDir::with_fallbacks).
+/// root to the next fallback — configured via [`ExecConfig::spill_dirs`]
+/// (each given a process-unique subdirectory) or
+/// [`with_fallbacks`](SpillDir::with_fallbacks).
 #[derive(Debug)]
 pub struct SpillDir {
     roots: Vec<SpillRoot>,
     /// Index of the root new files go to.
     active: AtomicUsize,
     next_file: AtomicU64,
+    /// The `spill_write` / `spill_read` plan, handed to every file.
+    faults: Faults,
 }
 
 #[derive(Debug)]
@@ -136,34 +139,38 @@ impl SpillRoot {
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
 
 impl SpillDir {
-    /// A spill directory under the system temp dir, unique to this
-    /// process and call, with fallback roots from `LAFP_SPILL_DIRS` (a
-    /// colon-separated directory list; each entry gets a process-unique
-    /// subdirectory).
+    /// [`from_config`](SpillDir::from_config) under the process
+    /// configuration ([`ExecConfig::from_env`]).
     pub fn in_temp() -> SpillDir {
+        SpillDir::from_config(&ExecConfig::from_env())
+    }
+
+    /// A spill directory under the system temp dir, unique to this
+    /// process and call, with `config`'s fault plan and its spill dirs
+    /// as fallback roots (each gets a process-unique subdirectory).
+    pub fn from_config(config: &ExecConfig) -> SpillDir {
         let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
         let unique = |base: &Path| base.join(format!("lafp-spill-{}-{n}", std::process::id()));
-        let mut roots = vec![SpillRoot::at(unique(&std::env::temp_dir()))];
-        if let Ok(spec) = std::env::var("LAFP_SPILL_DIRS") {
-            for dir in spec.split(':').filter(|d| !d.trim().is_empty()) {
-                roots.push(SpillRoot::at(unique(Path::new(dir.trim()))));
-            }
-        }
-        SpillDir {
-            roots,
-            active: AtomicUsize::new(0),
-            next_file: AtomicU64::new(0),
-        }
+        SpillDir::at(unique(&std::env::temp_dir()))
+            .with_fallbacks(config.spill_dirs.iter().map(|d| unique(d)))
+            .with_faults(config.faults.clone())
     }
 
     /// A spill directory at an explicit location (created lazily), with
-    /// no fallback roots.
+    /// no fallback roots and the process configuration's fault plan.
     pub fn at(path: PathBuf) -> SpillDir {
         SpillDir {
             roots: vec![SpillRoot::at(path)],
             active: AtomicUsize::new(0),
             next_file: AtomicU64::new(0),
+            faults: ExecConfig::from_env().faults,
         }
+    }
+
+    /// Replace the fault plan this dir and its files fire.
+    pub fn with_faults(mut self, faults: Faults) -> SpillDir {
+        self.faults = faults;
+        self
     }
 
     /// Append explicit fallback roots (tried in order after the primary).
@@ -227,7 +234,7 @@ impl SpillDir {
             let result = self.new_file_path().and_then(|path| {
                 let attempt_path = path.clone();
                 let run = || -> Result<SpillFile> {
-                    let mut w = SpillWriter::create(path)?;
+                    let mut w = SpillWriter::create(path, &self.faults)?;
                     body(&mut w)?;
                     w.finish()
                 };
@@ -239,9 +246,9 @@ impl SpillDir {
             match result {
                 Ok(file) => {
                     if fell_back {
-                        faults::record_dir_fallback();
+                        self.faults.record_dir_fallback();
                     } else if attempt > 0 {
-                        faults::record_retry_recovered();
+                        self.faults.record_retry_recovered();
                     }
                     return Ok(file);
                 }
@@ -291,12 +298,14 @@ pub struct SpillWriter {
     path: PathBuf,
     frames: usize,
     payload_bytes: usize,
+    faults: Faults,
 }
 
 impl SpillWriter {
-    /// Create (truncate) the spill file at `path` and write the magic.
-    pub fn create(path: PathBuf) -> Result<SpillWriter> {
-        inject_spill(FaultSite::SpillWrite, &path)?;
+    /// Create (truncate) the spill file at `path` and write the magic;
+    /// the writer and its file fire `faults`.
+    pub fn create(path: PathBuf, faults: &Faults) -> Result<SpillWriter> {
+        inject_spill(faults, FaultSite::SpillWrite, &path)?;
         let file =
             File::create(&path).map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
         let mut w = BufWriter::new(file);
@@ -306,12 +315,13 @@ impl SpillWriter {
             path,
             frames: 0,
             payload_bytes: 0,
+            faults: faults.clone(),
         })
     }
 
     /// Append one frame.
     pub fn write_frame(&mut self, frame: &DataFrame) -> Result<()> {
-        inject_spill(FaultSite::SpillWrite, &self.path)?;
+        inject_spill(&self.faults, FaultSite::SpillWrite, &self.path)?;
         let nrows = frame.num_rows();
         write_u64(&mut self.w, frame.num_columns() as u64)?;
         write_u64(&mut self.w, nrows as u64)?;
@@ -328,12 +338,13 @@ impl SpillWriter {
 
     /// Flush and seal the file.
     pub fn finish(mut self) -> Result<SpillFile> {
-        inject_spill(FaultSite::SpillWrite, &self.path)?;
+        inject_spill(&self.faults, FaultSite::SpillWrite, &self.path)?;
         self.w.flush()?;
         Ok(SpillFile {
             path: self.path.clone(),
             frames: self.frames,
             payload_bytes: self.payload_bytes,
+            faults: self.faults.clone(),
         })
     }
 
@@ -346,10 +357,10 @@ impl SpillWriter {
     }
 }
 
-/// Fire the registry at a spill site, attaching the file path to the
+/// Fire `faults` at a spill site, attaching the file path to the
 /// synthetic error.
-fn inject_spill(site: FaultSite, path: &Path) -> Result<()> {
-    faults::inject_io(site).map_err(|e| ColumnarError::Io {
+fn inject_spill(faults: &Faults, site: FaultSite, path: &Path) -> Result<()> {
+    faults.inject_io(site).map_err(|e| ColumnarError::Io {
         kind: e.kind(),
         message: format!("{path:?}: {e}"),
     })
@@ -361,6 +372,7 @@ pub struct SpillFile {
     path: PathBuf,
     frames: usize,
     payload_bytes: usize,
+    faults: Faults,
 }
 
 impl SpillFile {
@@ -382,7 +394,7 @@ impl SpillFile {
 
     /// Open the file for reading back.
     pub fn open_reader(&self) -> Result<SpillReader> {
-        SpillReader::open(self.path.clone())
+        SpillReader::open(self.path.clone(), &self.faults)
     }
 
     /// Read every frame back (in write order).
@@ -412,23 +424,24 @@ pub fn spill_frame(dir: &SpillDir, frame: &DataFrame) -> Result<SpillFile> {
 ///
 /// Reads are retried: a frame that fails mid-read seeks back to the
 /// frame boundary and re-reads (up to a small bound), so transient read
-/// faults — including everything the registry injects — recover
+/// faults — including everything a fault plan injects — recover
 /// transparently, while real corruption fails every attempt and surfaces
 /// as the structured error.
 #[derive(Debug)]
 pub struct SpillReader {
     r: BufReader<File>,
     path: PathBuf,
+    faults: Faults,
 }
 
 impl SpillReader {
-    fn open(path: PathBuf) -> Result<SpillReader> {
+    fn open(path: PathBuf, faults: &Faults) -> Result<SpillReader> {
         let mut last = None;
         for attempt in 0..READ_ATTEMPTS {
-            match Self::open_once(&path) {
+            match Self::open_once(&path, faults) {
                 Ok(r) => {
                     if attempt > 0 {
-                        faults::record_retry_recovered();
+                        faults.record_retry_recovered();
                     }
                     return Ok(r);
                 }
@@ -438,8 +451,8 @@ impl SpillReader {
         Err(last.unwrap_or_else(|| corrupt(&path, "unreachable: no open attempt ran")))
     }
 
-    fn open_once(path: &Path) -> Result<SpillReader> {
-        inject_spill(FaultSite::SpillRead, path)?;
+    fn open_once(path: &Path, faults: &Faults) -> Result<SpillReader> {
+        inject_spill(faults, FaultSite::SpillRead, path)?;
         let file = File::open(path)
             .map_err(|e| ColumnarError::Io { kind: e.kind(), message: format!("{path:?}: {e}") })?;
         let mut r = BufReader::new(file);
@@ -452,6 +465,7 @@ impl SpillReader {
         Ok(SpillReader {
             r,
             path: path.to_path_buf(),
+            faults: faults.clone(),
         })
     }
 
@@ -464,7 +478,7 @@ impl SpillReader {
             match self.read_frame_once() {
                 Ok(frame) => {
                     if attempt > 0 {
-                        faults::record_retry_recovered();
+                        self.faults.record_retry_recovered();
                     }
                     return Ok(frame);
                 }
@@ -478,7 +492,7 @@ impl SpillReader {
     }
 
     fn read_frame_once(&mut self) -> Result<Option<DataFrame>> {
-        inject_spill(FaultSite::SpillRead, &self.path)?;
+        inject_spill(&self.faults, FaultSite::SpillRead, &self.path)?;
         let ncols = match try_read_u64(&mut self.r)? {
             Some(n) => n as usize,
             None => return Ok(None),
@@ -864,7 +878,7 @@ mod tests {
     #[test]
     fn multiple_frames_stream_in_order() {
         let dir = temp_dir();
-        let mut w = SpillWriter::create(dir.new_file_path().unwrap()).unwrap();
+        let mut w = SpillWriter::create(dir.new_file_path().unwrap(), &Faults::default()).unwrap();
         let frames: Vec<DataFrame> = (0..5)
             .map(|k| df![("v", Column::from_i64(vec![k, k + 1, k + 2]))])
             .collect();
@@ -905,7 +919,7 @@ mod tests {
         let dir = temp_dir();
         let path = dir.new_file_path().unwrap();
         std::fs::write(&path, b"NOTSPILL????").unwrap();
-        let err = SpillReader::open(path).unwrap_err();
+        let err = SpillReader::open(path, &Faults::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt"));
     }
 

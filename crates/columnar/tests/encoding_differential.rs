@@ -171,6 +171,17 @@ fn category_flavour_matches_oracle(
     );
     assert_col_equiv(cat, &oracle, &format!("{what} category rows"));
     assert_col_equiv(&cat.to_utf8().unwrap(), plain, &format!("{what} to_utf8"));
+    // `cast` to Utf8 is one gather off the dictionary: it must match the
+    // per-row reference on the category (null codes included), on a
+    // filtered copy whose dictionary keeps entries no row uses, and on a
+    // run-length copy.
+    let pivot = Scalar::Str(pivots[0].to_string());
+    let unused = cat.filter(&cat.compare_scalar(CmpOp::Eq, &pivot).unwrap()).unwrap();
+    for (flavour, col) in [("category", cat.clone()), ("unused entries", unused), ("rle", force_rle(cat))] {
+        assert_eq!(col.dtype(), DType::Categorical, "{what} {flavour}");
+        let want = cast_ref(&col, DType::Utf8).unwrap();
+        assert_col_equiv(&col.cast(DType::Utf8).unwrap(), &want, &format!("{what} {flavour} cast"));
+    }
     assert_eq!(cat.min(), plain.min(), "{what}: min");
     assert_eq!(cat.max(), plain.max(), "{what}: max");
     assert_eq!(cat.nunique(), plain.nunique(), "{what}: nunique");

@@ -1,24 +1,20 @@
-//! Fault-registry integration tests: deterministic replay, pool panic
+//! Fault-plan integration tests: deterministic replay, pool panic
 //! isolation, pipeline stage injection, CSV read injection, and
 //! cooperative cancellation.
 //!
-//! These live in an integration binary (own process) because they
-//! install plans into the **process-global** registry — inside the lib
-//! test binary an armed plan could leak faults into unrelated tests
-//! running on sibling threads. Within this binary every test serializes
-//! on [`LOCK`].
+//! Each test arms only the owners it builds from its own
+//! [`ExecConfig`], so the tests run in parallel with each other and
+//! with everything else.
 
 use lafp_columnar::csv::{read_csv, read_csv_par, CsvOptions};
-use lafp_columnar::faults::{self, FaultPlan, FaultSite};
-use lafp_columnar::pool::{pipeline, StageChannel, WorkerPool};
-use lafp_columnar::{CancelToken, ColumnarError};
+use lafp_columnar::faults::{FaultPlan, FaultSite, Faults};
+use lafp_columnar::pool::{StageChannel, WorkerPool};
+use lafp_columnar::{CancelToken, ColumnarError, ExecConfig};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// A configuration of `threads` workers firing `plan`.
+fn armed(threads: usize, plan: FaultPlan) -> ExecConfig {
+    ExecConfig { faults: Faults::new(plan), ..ExecConfig::default() }.with_threads(threads)
 }
 
 fn temp_csv(rows: usize) -> PathBuf {
@@ -41,12 +37,10 @@ fn temp_csv(rows: usize) -> PathBuf {
 
 #[test]
 fn same_seed_fires_identical_draw_sequence() {
-    let _l = lock();
     let run = || -> Vec<bool> {
-        faults::stats().reset();
-        let _g = faults::install(FaultPlan::new(42).with(FaultSite::SpillWrite, 0.3));
+        let faults = Faults::new(FaultPlan::new(42).with(FaultSite::SpillWrite, 0.3));
         (0..256)
-            .map(|_| faults::fire(FaultSite::SpillWrite).is_some())
+            .map(|_| faults.fire(FaultSite::SpillWrite).is_some())
             .collect()
     };
     let a = run();
@@ -58,12 +52,10 @@ fn same_seed_fires_identical_draw_sequence() {
 
 #[test]
 fn different_seeds_differ() {
-    let _l = lock();
     let run = |seed| -> Vec<bool> {
-        faults::stats().reset();
-        let _g = faults::install(FaultPlan::new(seed).with(FaultSite::SpillRead, 0.5));
+        let faults = Faults::new(FaultPlan::new(seed).with(FaultSite::SpillRead, 0.5));
         (0..256)
-            .map(|_| faults::fire(FaultSite::SpillRead).is_some())
+            .map(|_| faults.fire(FaultSite::SpillRead).is_some())
             .collect()
     };
     assert_ne!(run(1), run(2));
@@ -71,21 +63,17 @@ fn different_seeds_differ() {
 
 #[test]
 fn injected_worker_panic_fails_query_not_pool() {
-    let _l = lock();
-    let pool = WorkerPool::new(4);
-    let before = faults::stats().snapshot().panics_isolated;
-    {
-        let _g = faults::install(FaultPlan::new(7).with(FaultSite::MorselExecute, 1.0));
-        let err = pool
-            .try_map((0..64).collect::<Vec<i64>>(), |_, x| Ok(x + 1))
-            .unwrap_err();
-        assert!(
-            matches!(err, ColumnarError::WorkerPanic(ref m) if m.contains("injected")),
-            "got {err:?}"
-        );
-    }
-    assert!(faults::stats().snapshot().panics_isolated > before);
-    // The registry is disarmed again; the same pool value works.
+    let config = armed(4, FaultPlan::new(7).with(FaultSite::MorselExecute, 1.0));
+    let err = WorkerPool::from_config(&config)
+        .try_map((0..64).collect::<Vec<i64>>(), |_, x| Ok(x + 1))
+        .unwrap_err();
+    assert!(
+        matches!(err, ColumnarError::WorkerPanic(ref m) if m.contains("injected")),
+        "got {err:?}"
+    );
+    assert!(config.faults.snapshot().panics_isolated > 0);
+    // A pool built without the plan runs the same work.
+    let pool = WorkerPool::from_config(&ExecConfig::default().with_threads(4));
     let out = pool
         .try_map((0..64).collect::<Vec<i64>>(), |_, x| Ok(x + 1))
         .unwrap();
@@ -97,9 +85,7 @@ fn injected_worker_panic_fails_query_not_pool() {
 fn low_probability_panic_still_isolated_at_cap_one() {
     // Sequential pool (no worker threads): the driver-path catch_unwind
     // inside try_map must isolate the injected panic too.
-    let _l = lock();
-    let pool = WorkerPool::new(1);
-    let _g = faults::install(FaultPlan::new(3).with(FaultSite::MorselExecute, 1.0));
+    let pool = WorkerPool::from_config(&armed(1, FaultPlan::new(3).with(FaultSite::MorselExecute, 1.0)));
     let err = pool
         .try_map(vec![1, 2, 3], |_, x: i32| Ok(x))
         .unwrap_err();
@@ -108,12 +94,11 @@ fn low_probability_panic_still_isolated_at_cap_one() {
 
 #[test]
 fn injected_stage_panic_unwinds_pipeline() {
-    let _l = lock();
-    let _g = faults::install(FaultPlan::new(9).with(FaultSite::PipelineStage, 1.0));
+    let pool = WorkerPool::from_config(&armed(2, FaultPlan::new(9).with(FaultSite::PipelineStage, 1.0)));
     // cap 1 is the deadlock-prone shape: a blocked producer must be
     // released by the panicking peer's hang-up.
     for cap in [1usize, 8] {
-        let r: lafp_columnar::Result<((), usize)> = pipeline(
+        let r: lafp_columnar::Result<((), usize)> = pool.pipeline(
             cap,
             |tx: &StageChannel<usize>| {
                 for i in 0..100 {
@@ -138,32 +123,32 @@ fn injected_stage_panic_unwinds_pipeline() {
 
 #[test]
 fn csv_read_injection_surfaces_io_error_with_path() {
-    let _l = lock();
     let path = temp_csv(100);
     let pool = WorkerPool::new(4);
-    {
-        let _g = faults::install(FaultPlan::new(5).with(FaultSite::CsvRead, 1.0));
-        let err = read_csv(&path, &CsvOptions::new()).unwrap_err();
-        match err {
-            ColumnarError::Io { message, .. } => {
-                assert!(message.contains("injected"), "{message}");
-                assert!(
-                    message.contains(path.file_name().unwrap().to_str().unwrap()),
-                    "error should name the file: {message}"
-                );
-            }
-            other => panic!("expected Io, got {other:?}"),
+    let options = CsvOptions {
+        exec: armed(4, FaultPlan::new(5).with(FaultSite::CsvRead, 1.0)),
+        ..CsvOptions::new()
+    };
+    let err = read_csv(&path, &options).unwrap_err();
+    match err {
+        ColumnarError::Io { message, .. } => {
+            assert!(message.contains("injected"), "{message}");
+            assert!(
+                message.contains(path.file_name().unwrap().to_str().unwrap()),
+                "error should name the file: {message}"
+            );
         }
-        assert!(read_csv_par(&path, &CsvOptions::new(), &pool).is_err());
+        other => panic!("expected Io, got {other:?}"),
     }
-    // Disarmed: the same file reads fine.
-    let df = read_csv(&path, &CsvOptions::new()).unwrap();
+    assert!(read_csv_par(&path, &options, &pool).is_err());
+    // Options without the plan read the same file fine.
+    let options = CsvOptions { exec: ExecConfig::default(), ..CsvOptions::new() };
+    let df = read_csv(&path, &options).unwrap();
     assert_eq!(df.num_rows(), 100);
 }
 
 #[test]
 fn cancelled_token_stops_pool_between_claims() {
-    let _l = lock();
     let token = CancelToken::new();
     token.cancel();
     let pool = WorkerPool::new(4).with_cancel(token);

@@ -3,23 +3,15 @@
 //! Under injected spill-write and spill-read faults, every spill
 //! operation must either succeed (retry / fallback-dir recovery) or
 //! fail with a structured error — and EITHER WAY leave no `LAFPSPL1`
-//! temp file behind once the [`SpillDir`] drops. Plans are installed
-//! into the process-global registry, so this suite lives in its own
-//! integration binary and serializes on [`LOCK`].
+//! temp file behind once the [`SpillDir`] drops. Each test arms only
+//! the dir it builds, so the tests run in parallel.
 
 use lafp_columnar::column::Column;
 use lafp_columnar::df;
-use lafp_columnar::faults::{self, FaultPlan, FaultSite};
+use lafp_columnar::faults::{FaultPlan, FaultSite, Faults};
 use lafp_columnar::spill::{spill_frame, SpillDir};
 use lafp_columnar::{ColumnarError, DataFrame};
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn frame(rows: usize) -> DataFrame {
     df![
@@ -54,13 +46,11 @@ fn assert_roots_removed(roots: &[PathBuf]) {
 
 #[test]
 fn write_faults_recover_or_fail_clean_across_seeds() {
-    let _l = lock();
     let f = frame(500);
     for seed in [42u64, 1337, 7, 99] {
-        faults::stats().reset();
-        let dir = SpillDir::at(scratch_root(&format!("w{seed}")));
+        let faults = Faults::new(FaultPlan::new(seed).with(FaultSite::SpillWrite, 0.3));
+        let dir = SpillDir::at(scratch_root(&format!("w{seed}"))).with_faults(faults.clone());
         let roots = dir.root_paths();
-        let guard = faults::install(FaultPlan::new(seed).with(FaultSite::SpillWrite, 0.3));
         let mut written = Vec::new();
         let mut clean_oom = 0usize;
         for _ in 0..40 {
@@ -70,17 +60,17 @@ fn write_faults_recover_or_fail_clean_across_seeds() {
                 Err(other) => panic!("seed {seed}: expected clean OOM marker, got {other:?}"),
             }
         }
-        drop(guard);
         let ok = written.len();
         assert!(ok > 0, "seed {seed}: retries should recover most writes");
-        // Fault-free readback: recovery never corrupts data.
+        // Readback (the plan has no read faults): recovery never
+        // corrupts data.
         for file in &written {
             let got = file.read_all().unwrap();
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].num_rows(), 500);
         }
         drop(written);
-        let snap = faults::stats().snapshot();
+        let snap = faults.snapshot();
         assert!(
             snap.injected_at(FaultSite::SpillWrite) > 0,
             "seed {seed}: plan must actually fire"
@@ -96,16 +86,15 @@ fn write_faults_recover_or_fail_clean_across_seeds() {
 
 #[test]
 fn enospc_falls_back_to_secondary_root() {
-    let _l = lock();
     let f = frame(200);
-    faults::stats().reset();
-    let dir = SpillDir::at(scratch_root("primary"))
-        .with_fallbacks([scratch_root("fallback-a"), scratch_root("fallback-b")]);
-    let roots = dir.root_paths();
-    assert_eq!(roots.len(), 3);
     // p=0.5: roughly half the injected faults are ENOSPC-shaped, which
     // advance the active root; transient Io faults burn retries.
-    let _g = faults::install(FaultPlan::new(13).with(FaultSite::SpillWrite, 0.5));
+    let faults = Faults::new(FaultPlan::new(13).with(FaultSite::SpillWrite, 0.5));
+    let dir = SpillDir::at(scratch_root("primary"))
+        .with_fallbacks([scratch_root("fallback-a"), scratch_root("fallback-b")])
+        .with_faults(faults.clone());
+    let roots = dir.root_paths();
+    assert_eq!(roots.len(), 3);
     let mut ok = 0usize;
     for _ in 0..60 {
         match spill_frame(&dir, &f) {
@@ -114,8 +103,7 @@ fn enospc_falls_back_to_secondary_root() {
             Err(other) => panic!("expected clean OOM marker, got {other:?}"),
         }
     }
-    drop(_g);
-    let snap = faults::stats().snapshot();
+    let snap = faults.snapshot();
     assert!(ok > 0, "most writes should survive p=0.5 with 6 attempts");
     assert!(
         snap.dir_fallbacks > 0,
@@ -127,15 +115,13 @@ fn enospc_falls_back_to_secondary_root() {
 
 #[test]
 fn read_faults_retry_and_never_return_wrong_data() {
-    let _l = lock();
     let f = frame(300);
-    faults::stats().reset();
-    let dir = SpillDir::at(scratch_root("read"));
+    // Only reads fault: the write succeeds, every read is under injection.
+    let faults = Faults::new(FaultPlan::new(21).with(FaultSite::SpillRead, 0.4));
+    let dir = SpillDir::at(scratch_root("read")).with_faults(faults.clone());
     let roots = dir.root_paths();
-    // Write fault-free, read under injection.
     let file = spill_frame(&dir, &f).unwrap();
     let expected = f.row_hashes(&[]).unwrap();
-    let _g = faults::install(FaultPlan::new(21).with(FaultSite::SpillRead, 0.4));
     let mut ok = 0usize;
     let mut failed = 0usize;
     for _ in 0..50 {
@@ -153,8 +139,7 @@ fn read_faults_retry_and_never_return_wrong_data() {
             Err(other) => panic!("unexpected error shape {other:?}"),
         }
     }
-    drop(_g);
-    let snap = faults::stats().snapshot();
+    let snap = faults.snapshot();
     assert!(ok > 0, "retries should recover reads (ok={ok}, failed={failed})");
     assert!(snap.injected_at(FaultSite::SpillRead) > 0);
     assert!(snap.retries_recovered > 0, "read retry path must run ({snap:?})");
@@ -167,16 +152,14 @@ fn read_faults_retry_and_never_return_wrong_data() {
 fn failed_writes_leave_no_partial_files_mid_run() {
     // Stronger than drop-time cleanup: while the dir is still alive, a
     // failed write must not leave its partial file on disk.
-    let _l = lock();
     let f = frame(400);
-    let dir = SpillDir::at(scratch_root("partial"));
+    let faults = Faults::new(FaultPlan::new(2).with(FaultSite::SpillWrite, 1.0));
+    let dir = SpillDir::at(scratch_root("partial")).with_faults(faults);
     let root = dir.root_paths()[0].clone();
-    let _g = faults::install(FaultPlan::new(2).with(FaultSite::SpillWrite, 1.0));
     for _ in 0..10 {
         let err = spill_frame(&dir, &f).unwrap_err();
         assert!(matches!(err, ColumnarError::OutOfMemory { .. }), "{err:?}");
     }
-    drop(_g);
     if root.exists() {
         let leftovers: Vec<_> = std::fs::read_dir(&root)
             .unwrap()

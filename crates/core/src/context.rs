@@ -20,10 +20,10 @@ pub struct LafpConfig {
     pub backend: BackendKind,
     /// Simulated memory budget in bytes (`usize::MAX` = unlimited).
     pub memory_budget: usize,
-    /// Worker threads for the Modin backend. `0` = default, resolved by
-    /// the one shared resolver (`LAFP_THREADS` env var, else available
-    /// parallelism — see `lafp_columnar::pool::resolve_threads`); the
-    /// Pandas backend is single-threaded regardless, by definition.
+    /// Worker threads for the Modin and Dask backends. `0` = the process
+    /// configuration's count (`LAFP_THREADS`, else available parallelism
+    /// — see [`crate::ExecConfig::from_env`]); the Pandas backend is
+    /// single-threaded regardless, by definition.
     pub threads: usize,
     /// Partition size (rows) for the Dask backend (0 = default).
     pub chunk_rows: usize,

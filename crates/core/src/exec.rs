@@ -275,7 +275,8 @@ fn run_dask(
     inner: &mut crate::context::ContextInner,
     roots: &[NodeId],
 ) -> Result<HashMap<NodeId, Value>> {
-    let mut engine = DaskEngine::new(Arc::clone(ctx.tracker()), ctx.config.chunk_rows);
+    let mut engine =
+        DaskEngine::with_threads(Arc::clone(ctx.tracker()), ctx.config.chunk_rows, ctx.config.threads);
     let mut memo: HashMap<NodeId, DaskNodeId> = HashMap::new();
 
     // The batch must produce: every print's inputs, the target(s), and

@@ -26,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autoselect;
 pub mod context;
 pub mod exec;
 pub mod frame;
@@ -34,8 +33,8 @@ pub mod graph;
 pub mod op;
 pub mod optimizer;
 
-pub use autoselect::{choose_backend, DatasetUse};
 pub use context::{LaFP, LafpConfig};
 pub use frame::{LazyFrame, LazyScalar, PrintArg};
 pub use graph::{NodeId, TaskGraph};
+pub use lafp_backends::ExecConfig;
 pub use op::{LogicalOp, PrintPiece, Value};

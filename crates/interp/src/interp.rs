@@ -86,7 +86,11 @@ impl Interp {
             ExecMode::PlainDask => {
                 let tracker = MemoryTracker::with_budget(config.memory_budget);
                 (
-                    Engines::Dask(DaskEngine::new(Arc::clone(&tracker), config.chunk_rows)),
+                    Engines::Dask(DaskEngine::with_threads(
+                        Arc::clone(&tracker),
+                        config.chunk_rows,
+                        config.threads,
+                    )),
                     tracker,
                     config.use_metadata,
                 )

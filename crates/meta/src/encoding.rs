@@ -23,13 +23,11 @@
 //!   the plain column at encode time.
 //!
 //! Counters are process-global atomics; `reset()` zeroes them between
-//! measurement windows. `LAFP_NO_ENCODE=1` disables the decision layer
-//! entirely (see `lafp_columnar::encoding::enabled`), in which case all
-//! counters stay at zero.
+//! measurement windows. `LAFP_NO_ENCODE=1` clears
+//! `lafp_columnar::ExecConfig::encode`, so the CSV readers skip the
+//! decision layer and the ingest counters stay at zero.
 
-pub use lafp_columnar::encoding::{
-    enabled, global, reset, snapshot, EncodingSnapshot, EncodingStats,
-};
+pub use lafp_columnar::encoding::{global, reset, snapshot, EncodingSnapshot, EncodingStats};
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@ pub mod spill;
 pub mod store;
 
 pub use encoding::{EncodingSnapshot, EncodingStats};
-pub use faults::{FaultPlan, FaultSite, FaultSnapshot};
+pub use faults::{FaultPlan, FaultSite, FaultSnapshot, Faults};
 pub use fusion::{FusionSnapshot, FusionStats};
 pub use scan::compute_metadata;
 pub use spill::{SpillSnapshot, SpillStats};

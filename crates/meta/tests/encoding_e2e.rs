@@ -41,7 +41,7 @@ fn low_cardinality_query_takes_zero_decode_fallbacks() {
     let frame = read_csv(&csv, &CsvOptions::new()).unwrap();
 
     let ingest = lafp_meta::encoding::snapshot();
-    if lafp_meta::encoding::enabled() {
+    if lafp_columnar::ExecConfig::from_env().encode {
         // Auto-detection must have dictionary-encoded the category
         // column at ingest and recorded the shrink.
         assert!(

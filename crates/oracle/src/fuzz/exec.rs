@@ -18,13 +18,14 @@ use lafp_backends::{DaskEngine, DaskOp, MemoryTracker};
 use lafp_columnar::column::{ArithOp, CmpOp};
 use lafp_columnar::csv::{read_csv_par, CsvOptions};
 use lafp_columnar::encoding::dict_encode;
+use lafp_columnar::faults::{FaultPlan, FaultSite, Faults};
 use lafp_columnar::groupby::group_by_par;
 use lafp_columnar::join::merge_par;
 use lafp_columnar::sort::{nlargest, nsmallest, sort_values_par, top_k};
 use lafp_columnar::spill::{spill_frame, SpillDir};
 use lafp_columnar::{
-    AggKind, Column, DType, DataFrame, GroupBySpec, JoinKind, Result as ColResult, Scalar, Series,
-    SortOptions, WorkerPool,
+    AggKind, Column, DType, DataFrame, ExecConfig, GroupBySpec, JoinKind, Result as ColResult,
+    Scalar, Series, SortOptions, WorkerPool,
 };
 use lafp_expr::Expr;
 use std::path::{Path, PathBuf};
@@ -73,8 +74,8 @@ pub struct FuzzConfig {
     pub faults: bool,
     /// Seed for the fault plan's deterministic coin.
     pub fault_seed: u64,
-    /// Run the engine with `LAFP_NO_ENCODE=1` (disables ingest
-    /// auto-encoding; explicit trace encodings still apply).
+    /// Run the engine with ingest auto-encoding off (explicit trace
+    /// encodings still apply).
     pub no_encode: bool,
 }
 
@@ -95,6 +96,27 @@ impl FuzzConfig {
     /// divergence.
     pub fn tolerates_errors(&self) -> bool {
         self.faults || self.budget.is_some()
+    }
+
+    /// The cell as an engine configuration, independent of the process
+    /// environment. Built once per case, so a fault cell's draws start
+    /// at zero for every case and a replayed case fires the same faults.
+    pub fn exec(&self) -> ExecConfig {
+        let (threads, fuse) = match self.mode {
+            Mode::Eager => (1, true),
+            Mode::Par(threads) => (threads, true),
+            Mode::Dask { threads, fuse } => (threads, fuse),
+        };
+        let plan = FaultPlan::new(self.fault_seed)
+            .with(FaultSite::SpillWrite, 0.05)
+            .with(FaultSite::SpillRead, 0.05);
+        ExecConfig {
+            threads,
+            fuse,
+            encode: !self.no_encode,
+            faults: if self.faults { Faults::new(plan) } else { Faults::default() },
+            ..ExecConfig::default()
+        }
     }
 }
 
@@ -732,8 +754,8 @@ fn engine_fillna(cur: &DataFrame, fill: &Scalar) -> DataFrame {
     .expect("fillna preserves shape")
 }
 
-fn engine_spill_round_trip(cur: &DataFrame) -> ColResult<DataFrame> {
-    let dir = SpillDir::in_temp();
+fn engine_spill_round_trip(cur: &DataFrame, exec: &ExecConfig) -> ColResult<DataFrame> {
+    let dir = SpillDir::from_config(exec);
     let file = spill_frame(&dir, cur)?;
     let mut parts = vec![cur.head(0)];
     parts.extend(file.read_all()?);
@@ -741,12 +763,14 @@ fn engine_spill_round_trip(cur: &DataFrame) -> ColResult<DataFrame> {
 }
 
 /// One eager/pooled engine op. `pool` drives the `_par` kernel variants
-/// (a sequential pool selects the plain kernels inside them).
+/// (a sequential pool selects the plain kernels inside them); `exec`
+/// configures the spill round trip.
 fn engine_apply(
     cur: &DataFrame,
     aux: &DataFrame,
     rop: &ROp,
     pool: &WorkerPool,
+    exec: &ExecConfig,
     mutation: Mutation,
 ) -> ColResult<DataFrame> {
     match rop {
@@ -794,7 +818,7 @@ fn engine_apply(
             DataFrame::concat_many(&parts)
         }
         ROp::Slice { offset, len } => Ok(cur.slice(*offset, *len)),
-        ROp::SpillRoundTrip => engine_spill_round_trip(cur),
+        ROp::SpillRoundTrip => engine_spill_round_trip(cur, exec),
         ROp::Encode { col } => engine_encode(cur, col),
         ROp::Decode => Ok(engine_decode(cur)),
         ROp::Head { n } => Ok(cur.head(*n)),
@@ -820,10 +844,12 @@ fn engine_inputs(
     trace: &Trace,
     orun: &OracleRun,
     pool: &WorkerPool,
+    exec: &ExecConfig,
 ) -> ColResult<(DataFrame, DataFrame)> {
     let aux = encode_for_engine(&build_plain(&trace.aux), &trace.aux);
+    let options = CsvOptions { exec: exec.clone(), ..CsvOptions::new() };
     let main = match &orun.csv_path {
-        Some(path) => read_csv_par(path, &CsvOptions::new(), pool)?,
+        Some(path) => read_csv_par(path, &options, pool)?,
         None => encode_for_engine(&build_plain(&trace.main), &trace.main),
     };
     Ok((main, aux))
@@ -835,13 +861,10 @@ fn run_eager(
     trace: &Trace,
     orun: &OracleRun,
     cfg: &FuzzConfig,
+    exec: &ExecConfig,
     mutation: Mutation,
 ) -> Result<EngineReport, String> {
-    let threads = match cfg.mode {
-        Mode::Par(n) => n,
-        _ => 1,
-    };
-    let pool = WorkerPool::new(threads);
+    let pool = WorkerPool::from_config(exec);
     let accept = |e: lafp_columnar::ColumnarError, at: &str| -> Result<EngineReport, String> {
         if cfg.tolerates_errors() {
             Ok(EngineReport {
@@ -851,13 +874,13 @@ fn run_eager(
             Err(format!("[{}] engine error at {at} where oracle succeeded: {e}", cfg.name))
         }
     };
-    let (mut cur, aux) = match engine_inputs(trace, orun, &pool) {
+    let (mut cur, aux) = match engine_inputs(trace, orun, &pool, exec) {
         Ok(v) => v,
         Err(e) => return accept(e, "input build"),
     };
     check_frame_close(&cur, &orun.states[0], TOL, &format!("[{}] initial frame", cfg.name))?;
     for (i, rop) in orun.rops.iter().enumerate() {
-        cur = match engine_apply(&cur, &aux, rop, &pool, mutation) {
+        cur = match engine_apply(&cur, &aux, rop, &pool, exec, mutation) {
             Ok(f) => f,
             Err(e) => return accept(e, &format!("op {i}")),
         };
@@ -913,31 +936,23 @@ fn dask_nodes(rop: &ROp) -> Option<Vec<DaskOp>> {
 
 /// Run one Dask graph over `rops[start..end]`, seeded either from a
 /// materialized frame or the trace's CSV scan.
-#[allow(clippy::too_many_arguments)]
 fn dask_graph_run(
     cfg: &FuzzConfig,
+    exec: &ExecConfig,
     seed_frame: Option<&DataFrame>,
     csv_path: Option<&Path>,
     rops: &[ROp],
     aux: &DataFrame,
 ) -> ColResult<DataFrame> {
-    let (threads, fuse) = match cfg.mode {
-        Mode::Dask { threads, fuse } => (threads, fuse),
-        _ => unreachable!("dask_graph_run requires Mode::Dask"),
-    };
-    let tracker = match cfg.budget {
-        Some(b) => MemoryTracker::with_budget(b),
-        None => MemoryTracker::unlimited(),
-    };
+    let tracker = MemoryTracker::with_config(cfg.budget.unwrap_or(usize::MAX), exec);
     let chunk_rows = if cfg.budget.is_some() { 256 } else { 1024 };
-    let mut engine = DaskEngine::with_threads(tracker, chunk_rows, threads);
-    engine.fuse_chains = fuse;
+    let mut engine = DaskEngine::with_config(tracker, chunk_rows, exec.clone());
     let mut node = match seed_frame {
         Some(f) => engine.add(DaskOp::FromFrame(Arc::new(f.clone())), vec![]),
         None => engine.add(
             DaskOp::ReadCsv {
                 path: csv_path.expect("csv-seeded run").to_path_buf(),
-                options: CsvOptions::new(),
+                options: CsvOptions { exec: exec.clone(), ..CsvOptions::new() },
                 limit: None,
             },
             vec![],
@@ -969,9 +984,10 @@ fn run_dask(
     trace: &Trace,
     orun: &OracleRun,
     cfg: &FuzzConfig,
+    exec: &ExecConfig,
     mutation: Mutation,
 ) -> Result<EngineReport, String> {
-    let pool = WorkerPool::new(1);
+    let pool = WorkerPool::from_config(&ExecConfig { threads: 1, ..exec.clone() });
     let accept = |e: lafp_columnar::ColumnarError, at: &str| -> Result<EngineReport, String> {
         if cfg.tolerates_errors() {
             Ok(EngineReport {
@@ -1001,6 +1017,7 @@ fn run_dask(
             }
             let frame = match dask_graph_run(
                 cfg,
+                exec,
                 cur.as_ref(),
                 orun.csv_path.as_deref(),
                 &orun.rops[i..j],
@@ -1025,6 +1042,7 @@ fn run_dask(
                 None => {
                     let f = match dask_graph_run(
                         cfg,
+                        exec,
                         None,
                         orun.csv_path.as_deref(),
                         &[],
@@ -1042,7 +1060,7 @@ fn run_dask(
                     f
                 }
             };
-            let next = match engine_apply(&base, &aux, &orun.rops[i], &pool, mutation) {
+            let next = match engine_apply(&base, &aux, &orun.rops[i], &pool, exec, mutation) {
                 Ok(f) => f,
                 Err(e) => return accept(e, &format!("op {i}")),
             };
@@ -1058,7 +1076,7 @@ fn run_dask(
     }
     if cur.is_none() {
         // CSV-seeded trace with no ops: still verify the scan itself.
-        let f = match dask_graph_run(cfg, None, orun.csv_path.as_deref(), &[], &aux) {
+        let f = match dask_graph_run(cfg, exec, None, orun.csv_path.as_deref(), &[], &aux) {
             Ok(f) => f,
             Err(e) => return accept(e, "csv scan"),
         };
@@ -1077,8 +1095,9 @@ pub fn run_engine(
     cfg: &FuzzConfig,
     mutation: Mutation,
 ) -> Result<EngineReport, String> {
+    let exec = cfg.exec();
     match cfg.mode {
-        Mode::Eager | Mode::Par(_) => run_eager(trace, orun, cfg, mutation),
-        Mode::Dask { .. } => run_dask(trace, orun, cfg, mutation),
+        Mode::Eager | Mode::Par(_) => run_eager(trace, orun, cfg, &exec, mutation),
+        Mode::Dask { .. } => run_dask(trace, orun, cfg, &exec, mutation),
     }
 }

@@ -25,38 +25,8 @@ pub mod trace;
 
 pub use exec::{config_by_name, default_configs, FuzzConfig, Mode, Mutation};
 
-use std::sync::Mutex;
-
 /// Environment variable the harness checks for a replay trace.
 pub const REPLAY_ENV: &str = "LAFP_FUZZ_REPLAY";
-
-/// Serializes case execution: a case may mutate process-global state
-/// (`LAFP_NO_ENCODE`, the installed fault plan), so cases — including
-/// shrink re-executions — never overlap.
-static CASE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Restores an environment variable on drop.
-struct EnvGuard {
-    key: &'static str,
-    prior: Option<String>,
-}
-
-impl EnvGuard {
-    fn set(key: &'static str, value: &str) -> EnvGuard {
-        let prior = std::env::var(key).ok();
-        std::env::set_var(key, value);
-        EnvGuard { key, prior }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        match &self.prior {
-            Some(v) => std::env::set_var(self.key, v),
-            None => std::env::remove_var(self.key),
-        }
-    }
-}
 
 /// Outcome of a passing case.
 pub struct CaseOutcome {
@@ -73,19 +43,7 @@ pub fn run_case(
     cfg: &FuzzConfig,
     mutation: Mutation,
 ) -> Result<CaseOutcome, String> {
-    let _case = CASE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _env = cfg
-        .no_encode
-        .then(|| EnvGuard::set("LAFP_NO_ENCODE", "1"));
     let orun = exec::run_oracle(t);
-    let _faults = cfg.faults.then(|| {
-        use lafp_columnar::faults::{install, FaultPlan, FaultSite};
-        install(
-            FaultPlan::new(cfg.fault_seed)
-                .with(FaultSite::SpillWrite, 0.05)
-                .with(FaultSite::SpillRead, 0.05),
-        )
-    });
     let report = exec::run_engine(t, &orun, cfg, mutation)?;
     Ok(CaseOutcome {
         engine_error: report.error,

@@ -160,7 +160,7 @@ pub struct Trace {
     /// Route the main frame through a temp CSV: the oracle reads it
     /// with the seed reader, the engine with `read_csv` (exercising
     /// ingest dtype inference and auto-encoding, and therefore the
-    /// `LAFP_NO_ENCODE` config axis).
+    /// encoding-off config axis, `ExecConfig::encode`).
     pub via_csv: bool,
     /// The op sequence.
     pub ops: Vec<RawOp>,

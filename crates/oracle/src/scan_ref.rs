@@ -9,7 +9,9 @@
 use lafp_columnar::column::ColumnBuilder;
 use lafp_columnar::csv::{split_record, CsvOptions};
 use lafp_columnar::value::parse_datetime;
-use lafp_columnar::{ColumnarError, DType, DataFrame, HeapSize, Result, Scalar, Series};
+use lafp_columnar::{
+    ColumnarError, DType, DataFrame, ExecConfig, HeapSize, Result, Scalar, Series,
+};
 use lafp_meta::store::{ColumnMeta, DatasetMeta, MetaStore, NDISTINCT_CAP};
 use std::collections::{HashSet, VecDeque};
 use std::fs::File;
@@ -133,13 +135,13 @@ fn count_quotes(s: &str) -> usize {
     s.as_bytes().iter().filter(|&&b| b == b'"').count()
 }
 
-fn inject_csv(path: &Path) -> Result<()> {
-    lafp_columnar::faults::inject_io(lafp_columnar::faults::FaultSite::CsvRead).map_err(|e| {
-        ColumnarError::Io {
+fn inject_csv(exec: &ExecConfig, path: &Path) -> Result<()> {
+    exec.faults
+        .inject_io(lafp_columnar::faults::FaultSite::CsvRead)
+        .map_err(|e| ColumnarError::Io {
             kind: e.kind(),
             message: format!("{path:?}: {e}"),
-        }
-    })
+        })
 }
 
 /// The line-at-a-time `CsvChunkReader`: `read_line` per physical line,
@@ -160,11 +162,12 @@ struct RefChunkReader {
     line_no: usize,
     record_line: usize,
     done: bool,
+    exec: ExecConfig,
 }
 
 impl RefChunkReader {
     fn open(path: &Path, options: &CsvOptions, chunk_rows: usize) -> Result<RefChunkReader> {
-        inject_csv(path)?;
+        inject_csv(&options.exec, path)?;
         let file = File::open(path).map_err(|e| ColumnarError::Io {
             kind: e.kind(),
             message: format!("{path:?}: {e}"),
@@ -206,6 +209,7 @@ impl RefChunkReader {
             line_no: 1,
             record_line: 1,
             done: false,
+            exec: options.exec.clone(),
         };
         rdr.infer_dtypes(options)?;
         Ok(rdr)
@@ -306,7 +310,7 @@ impl RefChunkReader {
     }
 
     fn next_chunk(&mut self) -> Result<Option<DataFrame>> {
-        inject_csv(&self.path)?;
+        inject_csv(&self.exec, &self.path)?;
         let mut builders: Vec<ColumnBuilder> = self
             .dtypes
             .iter()
@@ -355,7 +359,10 @@ impl RefChunkReader {
             .zip(builders)
             .map(|(&i, b)| {
                 let col = b.finish();
-                let col = lafp_columnar::encoding::dict_encode_auto(&col).unwrap_or(col);
+                let col = match self.exec.encode {
+                    true => lafp_columnar::encoding::dict_encode_auto(&col).unwrap_or(col),
+                    false => col,
+                };
                 Series::new(self.header[i].clone(), col)
             })
             .collect();
