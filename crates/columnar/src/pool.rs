@@ -537,30 +537,6 @@ impl WorkerPool {
     /// bounded queue. A panic in either stage surfaces as
     /// [`ColumnarError::WorkerPanic`] after both stages have unwound. The
     /// stage threads are the pool's `pipeline_stage` injection site.
-    ///
-    /// ```
-    /// use lafp_columnar::pool::{StageChannel, WorkerPool};
-    /// let ((), sum) = WorkerPool::new(2).pipeline(
-    ///     2,
-    ///     |tx: &StageChannel<i64>| {
-    ///         for v in 1..=100 {
-    ///             if !tx.send(v) {
-    ///                 break;
-    ///             }
-    ///         }
-    ///         tx.close();
-    ///     },
-    ///     |rx| {
-    ///         let mut total = 0;
-    ///         while let Some(v) = rx.recv() {
-    ///             total += v;
-    ///         }
-    ///         total
-    ///     },
-    /// )
-    /// .unwrap();
-    /// assert_eq!(sum, 5050);
-    /// ```
     pub fn pipeline<T, A, B>(
         &self,
         cap: usize,
@@ -592,21 +568,7 @@ impl WorkerPool {
         });
         match (a, b) {
             (Ok(a), Ok(b)) => Ok((a, b)),
-            (ra, rb) => {
-                let mut msgs: Vec<String> = [ra.err(), rb.err()]
-                    .into_iter()
-                    .flatten()
-                    .map(panic_message)
-                    .collect();
-                for _ in &msgs {
-                    self.faults.record_panic_isolated();
-                }
-                Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
-                    "pipeline stage panicked".to_string()
-                } else {
-                    msgs.swap_remove(0)
-                }))
-            }
+            (ra, rb) => Err(self.stage_panics([ra.err(), rb.err()])),
         }
     }
 
@@ -631,38 +593,6 @@ impl WorkerPool {
     /// middle stage should still mirror a well-behaved producer: forward
     /// until `recv` returns `None` or `send` returns `false`, then
     /// [`close`](StageChannel::close) its output.
-    ///
-    /// ```
-    /// use lafp_columnar::pool::{StageChannel, WorkerPool};
-    /// let ((), (), sum) = WorkerPool::new(2).pipeline3(
-    ///     2,
-    ///     |tx: &StageChannel<i64>| {
-    ///         for v in 1..=100 {
-    ///             if !tx.send(v) {
-    ///                 break;
-    ///             }
-    ///         }
-    ///         tx.close();
-    ///     },
-    ///     |rx, tx: &StageChannel<i64>| {
-    ///         while let Some(v) = rx.recv() {
-    ///             if !tx.send(v * 2) {
-    ///                 break;
-    ///             }
-    ///         }
-    ///         tx.close();
-    ///     },
-    ///     |rx| {
-    ///         let mut total = 0;
-    ///         while let Some(v) = rx.recv() {
-    ///             total += v;
-    ///         }
-    ///         total
-    ///     },
-    /// )
-    /// .unwrap();
-    /// assert_eq!(sum, 10100);
-    /// ```
     pub fn pipeline3<T, U, A, B, C>(
         &self,
         cap: usize,
@@ -710,23 +640,100 @@ impl WorkerPool {
         });
         match (a, b, c) {
             (Ok(a), Ok(b), Ok(c)) => Ok((a, b, c)),
-            (ra, rb, rc) => {
-                let mut msgs: Vec<String> = [ra.err(), rb.err(), rc.err()]
-                    .into_iter()
-                    .flatten()
-                    .map(panic_message)
-                    .collect();
-                for _ in &msgs {
-                    self.faults.record_panic_isolated();
-                }
-                Err(ColumnarError::WorkerPanic(if msgs.is_empty() {
-                    "pipeline stage panicked".to_string()
-                } else {
-                    msgs.swap_remove(0)
-                }))
-            }
+            (ra, rb, rc) => Err(self.stage_panics([ra.err(), rb.err(), rc.err()])),
         }
     }
+
+    /// The error of a pipeline whose stages caught these panics: each is
+    /// counted as isolated, and the first one's message is kept.
+    fn stage_panics<const N: usize>(
+        &self,
+        caught: [Option<Box<dyn std::any::Any + Send>>; N],
+    ) -> ColumnarError {
+        let msgs: Vec<String> = caught.into_iter().flatten().map(panic_message).collect();
+        for _ in &msgs {
+            self.faults.record_panic_isolated();
+        }
+        let first = msgs.into_iter().next();
+        ColumnarError::WorkerPanic(first.unwrap_or_else(|| "pipeline stage panicked".into()))
+    }
+}
+
+/// [`WorkerPool::pipeline`] under the process configuration's fault plan
+/// ([`ExecConfig::from_env`]).
+///
+/// ```
+/// use lafp_columnar::pool::{pipeline, StageChannel};
+/// let ((), sum) = pipeline(
+///     2,
+///     |tx: &StageChannel<i64>| {
+///         for v in 1..=100 {
+///             if !tx.send(v) {
+///                 break;
+///             }
+///         }
+///         tx.close();
+///     },
+///     |rx| {
+///         let mut total = 0;
+///         while let Some(v) = rx.recv() {
+///             total += v;
+///         }
+///         total
+///     },
+/// )
+/// .unwrap();
+/// assert_eq!(sum, 5050);
+/// ```
+pub fn pipeline<T: Send, A: Send, B>(
+    cap: usize,
+    producer: impl FnOnce(&StageChannel<T>) -> A + Send,
+    consumer: impl FnOnce(&StageChannel<T>) -> B,
+) -> Result<(A, B)> {
+    WorkerPool::new(0).pipeline(cap, producer, consumer)
+}
+
+/// [`WorkerPool::pipeline3`] under the process configuration's fault
+/// plan ([`ExecConfig::from_env`]).
+///
+/// ```
+/// use lafp_columnar::pool::{pipeline3, StageChannel};
+/// let ((), (), sum) = pipeline3(
+///     2,
+///     |tx: &StageChannel<i64>| {
+///         for v in 1..=100 {
+///             if !tx.send(v) {
+///                 break;
+///             }
+///         }
+///         tx.close();
+///     },
+///     |rx, tx: &StageChannel<i64>| {
+///         while let Some(v) = rx.recv() {
+///             if !tx.send(v * 2) {
+///                 break;
+///             }
+///         }
+///         tx.close();
+///     },
+///     |rx| {
+///         let mut total = 0;
+///         while let Some(v) = rx.recv() {
+///             total += v;
+///         }
+///         total
+///     },
+/// )
+/// .unwrap();
+/// assert_eq!(sum, 10100);
+/// ```
+pub fn pipeline3<T: Send, U: Send, A: Send, B: Send, C>(
+    cap: usize,
+    producer: impl FnOnce(&StageChannel<T>) -> A + Send,
+    middle: impl FnOnce(&StageChannel<T>, &StageChannel<U>) -> B + Send,
+    consumer: impl FnOnce(&StageChannel<U>) -> C,
+) -> Result<(A, B, C)> {
+    WorkerPool::new(0).pipeline3(cap, producer, middle, consumer)
 }
 
 /// Split `rows` into contiguous `(start, len)` morsels of at most
